@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import platform
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -19,21 +20,15 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def git_commit(root: Path):
-    """Commit of a git checkout, read from .git without running git; None elsewhere."""
-    git = root / ".git"
+    """Commit checked out at `root`; None outside a git checkout or without git."""
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[len("ref: "):]
-        if (git / ref).is_file():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return None
+        # the ceiling keeps git from reporting a repository that encloses `root`
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+                             text=True, timeout=10,
+                             env={**os.environ, "GIT_CEILING_DIRECTORIES": str(root.parent)})
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
 
 
 def _blas(show_config):

@@ -3,12 +3,10 @@
     python3 benchmark/record_reference.py              # all workloads
     python3 benchmark/record_reference.py snr_k3 m64_k2
 
-Run from the root of a checkout. For every sweep workload it records the
-error count of each (grid point, detector) for seeds 0..SWEEP_SEEDS-1. For
-the oracle workload it tries seeds 0..ORACLE_TRIED-1 and keeps those on which
-every instance passes: at ORACLE_DRAWS draws the per-quantity 99% rule misses
-by sampling chance on about one seed in six, and a seed that misses at the
-recording commit cannot tell a later regression from chance.
+Run from the root of a checkout. For every workload it records the outputs
+of seeds 0..SEEDS-1: the error count of each (grid point, detector) of a
+sweep, and the per-quantity verdicts of the oracle bundle. An oracle verdict
+is an absolute check, so recording refuses a seed on which a quantity fails.
 Re-record only when a change is meant to alter outputs, and say so.
 """
 
@@ -19,8 +17,7 @@ import sys
 
 import run
 
-SWEEP_SEEDS = 32
-ORACLE_TRIED = 40
+SEEDS = 32
 
 
 def dumps(reference: dict) -> str:
@@ -30,30 +27,26 @@ def dumps(reference: dict) -> str:
         rows = ",\n".join(f"   {json.dumps(seed)}: {json.dumps(out)}"
                           for seed, out in recorded.items())
         blocks.append(f"  {json.dumps(name)}: {{\n{rows}\n  }}")
-    extra = "".join(f",\n {json.dumps(k)}: {json.dumps(v)}"
-                    for k, v in reference.items() if k != "workloads")
-    return '{\n "workloads": {\n' + ",\n".join(blocks) + "\n }" + extra + "\n}\n"
+    return '{\n "workloads": {\n' + ",\n".join(blocks) + "\n }\n}\n"
 
 
 def record(names) -> dict:
     import workloads
 
     path = run.BENCH_DIR / "reference.json"
-    reference = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
+    recorded_before = json.loads(path.read_text())["workloads"] if path.exists() else {}
+    reference = {"workloads": recorded_before}
     for name in names:
         workload = workloads.WORKLOADS[name]
-        tried = ORACLE_TRIED if name == "oracle" else SWEEP_SEEDS
-        recorded, missed = {}, []
-        for seed in range(tried):
+        recorded = {}
+        for seed in range(SEEDS):
             outputs = workload.run(workload.inputs(seed))
-            if name == "oracle" and any(outputs):
-                missed.append(seed)
-                continue
+            failed = [q for q, passed in outputs if not passed] if name == "oracle" else []
+            if failed:
+                raise RuntimeError(f"oracle seed {seed}: {', '.join(failed)} fail the 99% rule")
             recorded[str(seed)] = outputs
             print(f"{name} seed {seed}: {outputs}", file=sys.stderr, flush=True)
         reference["workloads"][name] = recorded
-        if missed:
-            reference.setdefault("oracle_seeds_missed", {})[name] = missed
     path.write_text(dumps(reference))
     return reference
 

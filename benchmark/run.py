@@ -1,6 +1,6 @@
 """Run one benchmark workload and print its metrics as one JSON line.
 
-    python3 benchmark/run.py --workload snr_k3 --seed 0 --seconds 24 --trace 0
+    python3 benchmark/run.py --workload snr_k3 --seed 0 --seconds 20 --trace 0
 
 Run from the root of a source checkout; the library is imported from `src/`.
 With --trace 0 the last line holds the end-to-end metrics, measured without
@@ -24,9 +24,18 @@ from pathlib import Path
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 # Untraced runs split their time over this many fresh processes, so that one
-# slow or fast process does not set the median call time; each process's
-# start gives one set-up sample.
+# slow or fast process does not set the call time; each process's start gives
+# one set-up sample.
 PROCESSES = 3
+# Fresh processes that only set up, this many after each measuring process,
+# for more set-up samples spread over the run: set-up varies by about 20% from
+# one interpreter start to the next, and with the host's speed over seconds.
+SETUP_ONLY_PER_PROCESS = 3
+# Share of the slowest and of the fastest calls left out of a run's call time.
+# Calls vary by about 15% either way with the default BLAS threads, so a mean
+# is steadier than a median of a dozen calls; trimming keeps a call stalled by
+# another process from setting it.
+TRIM = 0.1
 PROCESS_TIMEOUT_S = 150
 
 
@@ -103,29 +112,40 @@ def _timed_calls(workload, inputs, expected, seconds, tracers=None):
     return (untraced, traced), attempted, failed
 
 
+def trimmed_mean(values) -> float:
+    """Mean of `values` without the TRIM share of the lowest and of the highest."""
+    values = sorted(values)
+    cut = int(TRIM * len(values))
+    return statistics.mean(values[cut:len(values) - cut])
+
+
 def _measure_process(args) -> None:
     """Body of one measuring process: set up, say so, time calls, report."""
     workload, inputs, expected = _setup(args.workload, args.seed)
     print("ready", flush=True)
+    if args.setup_only:
+        return
     (untraced, _), attempted, failed = _timed_calls(workload, inputs, expected, args.seconds)
     print(json.dumps({"call_seconds": untraced, "attempted": attempted, "failed": failed,
                       "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
 
 
 def _measure(args) -> list:
-    """Run PROCESSES measuring processes one after another.
+    """Run the measuring and the set-up-only processes one after another.
 
-    Returns (set-up seconds, report) per process. Set-up is the wall time
-    from starting a fresh interpreter until it has imported the library,
-    built the inputs and made its warm-up call.
+    Returns (set-up seconds, report or None) per process. Set-up is the wall
+    time from starting a fresh interpreter until it has imported the
+    library, built the inputs and made its warm-up call.
     """
     cmd = [sys.executable, str(Path(__file__).resolve()), "--measure-process",
            "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", repr(args.seconds / PROCESSES)]
     runs = []
-    for _ in range(PROCESSES):
+    for i in range(PROCESSES * (1 + SETUP_ONLY_PER_PROCESS)):
+        setup_only = i % (1 + SETUP_ONLY_PER_PROCESS) > 0
         t0 = time.perf_counter()
-        with subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True) as proc:
+        with subprocess.Popen(cmd + ["--setup-only"] * setup_only, cwd=ROOT,
+                              stdout=subprocess.PIPE, text=True) as proc:
             try:
                 ready = proc.stdout.readline()
                 setup_s = time.perf_counter() - t0
@@ -135,7 +155,7 @@ def _measure(args) -> list:
                     proc.kill()
         if ready.strip() != "ready" or proc.returncode != 0:
             raise RuntimeError(f"measuring process failed with exit code {proc.returncode}")
-        runs.append((setup_s, json.loads(out.strip().splitlines()[-1])))
+        runs.append((setup_s, None if setup_only else json.loads(out.strip().splitlines()[-1])))
     return runs
 
 
@@ -152,9 +172,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=24.0)
+    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--measure-process", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.seed < 0:
         ap.error("--seed must be non-negative")
@@ -188,21 +209,22 @@ def main(argv=None) -> int:
         run_info.update(call_seconds=untraced, traced_call_seconds=traced)
     else:
         runs = _measure(args)
-        calls = [t for _, r in runs for t in r["call_seconds"]]
-        attempted = sum(r["attempted"] for _, r in runs)
-        failed = sum(r["failed"] for _, r in runs)
+        reports = [r for _, r in runs if r is not None]
+        calls = [t for r in reports for t in r["call_seconds"]]
+        attempted = sum(r["attempted"] for r in reports)
+        failed = sum(r["failed"] for r in reports)
         metrics = {}
         if calls:
-            run_s = statistics.median(calls)
+            run_s = trimmed_mean(calls)
             metrics = {
                 "run_s": {"value": run_s, "unit": "s"},
                 "items_per_s": {"value": workload.items(workload.inputs(used_seed)) / run_s,
                                 "unit": "1/s"},
-                "peak_rss_mb": {"value": max(r["peak_rss_mb"] for _, r in runs), "unit": "MB"},
+                "peak_rss_mb": {"value": max(r["peak_rss_mb"] for r in reports), "unit": "MB"},
                 "setup_s": {"value": statistics.median(s for s, _ in runs), "unit": "s"},
             }
         run_info.update(setup_seconds=[s for s, _ in runs],
-                        call_seconds=[r["call_seconds"] for _, r in runs])
+                        call_seconds=[r["call_seconds"] for r in reports])
     result = {"correct": failed == 0 and bool(metrics), "attempted": attempted,
               "failed": failed, "metrics": metrics}
     _write_run(BENCH_DIR / "out" / f"{args.workload}-seed{args.seed}-trace{args.trace}",

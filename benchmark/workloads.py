@@ -20,6 +20,9 @@ from onebitlink import harness, oracle
 
 # Monte-Carlo draws per oracle instance and run (conditional + Gaussian-symbol)
 ORACLE_DRAWS = 20_000
+# the last instance draws one full chunk of validate_instance's default size,
+# so the chunked path's memory sets peak_rss_mb on the oracle workload
+ORACLE_CHUNK_DRAWS = 200_000
 ORACLE_MIN_FRAC = 0.99
 ORACLE_SE_MULT = 4.0
 # instance seeds of default_instances() are 0..23; a stride above that keeps
@@ -66,31 +69,36 @@ class OracleBundle:
 
     The seed moves every instance's own seed (its channel, precoder, symbols
     and draws) and keeps the grid of array sizes, so every seed costs the
-    same work. The output of an instance is the number of its quantities with
-    fewer than 99% of entries within 4 standard errors; 0 is correct.
+    same work. The outputs are acceptance criterion 1's verdicts: per
+    quantity, whether at least 99% of its entries, pooled over all instances,
+    lie within 4 standard errors.
     """
 
     required_spans: tuple = ORACLE_SPANS
 
     def inputs(self, seed: int):
-        return [replace(spec, seed=spec.seed + ORACLE_SEED_STRIDE * seed)
-                for spec in oracle.default_instances()]
+        """(instance, draws) pairs; the last instance draws a full chunk."""
+        specs = [replace(spec, seed=spec.seed + ORACLE_SEED_STRIDE * seed)
+                 for spec in oracle.default_instances()]
+        return ([(spec, ORACLE_DRAWS) for spec in specs[:-1]]
+                + [(specs[-1], ORACLE_CHUNK_DRAWS)])
 
     def warm_up_inputs(self, seed: int):
-        return [oracle.InstanceSpec(n_tx=4, n_rx=2, n_streams=2, sigma2=0.1,
-                                    rho=2.0, seed=seed)]
+        return [(oracle.InstanceSpec(n_tx=4, n_rx=2, n_streams=2, sigma2=0.1,
+                                     rho=2.0, seed=seed), ORACLE_DRAWS)]
 
-    def run(self, specs) -> list:
-        out = []
-        for spec in specs:
-            rows = oracle.validate_instance(spec, draws=ORACLE_DRAWS,
-                                            se_mult=ORACLE_SE_MULT)
-            out.append(sum(r.frac_within < ORACLE_MIN_FRAC for r in rows))
-        return out
+    def run(self, instances) -> list:
+        pooled = {}
+        for spec, draws in instances:
+            for row in oracle.validate_instance(spec, draws=draws, se_mult=ORACLE_SE_MULT):
+                within, entries = pooled.get(row.quantity, (0, 0))
+                pooled[row.quantity] = (within + row.within, entries + row.entries)
+        return [[q, within >= ORACLE_MIN_FRAC * entries]
+                for q, (within, entries) in sorted(pooled.items())]
 
-    def items(self, specs) -> int:
+    def items(self, instances) -> int:
         """Monte-Carlo draws of one call: each instance runs both simulation passes."""
-        return 2 * ORACLE_DRAWS * len(specs)
+        return 2 * sum(draws for _, draws in instances)
 
 
 # The sweep shapes are those of acceptance criteria 4, 5 and 6, and the oracle
@@ -103,8 +111,8 @@ WORKLOADS = {
         n_channels=12, n_symbol_vectors=100, detectors=("ml", "blmmse")),
         required_spans=SWEEP_SPANS + BLMMSE_SPANS),
     "snr_k3": Sweep(dict(
-        n_rx=16, n_streams=3, rho_db=(0.0, 20.0, 30.0, 40.0), dither_dbm=2.0,
-        n_channels=1, n_symbol_vectors=192, detectors=("ml",))),
+        n_rx=16, n_streams=3, rho_db=(0.0, 40.0), dither_dbm=2.0,
+        n_channels=1, n_symbol_vectors=3000, detectors=("ml",))),
     "m64_k2": Sweep(dict(
         n_rx=64, n_streams=2, rho_db=5.0, dither_dbm=(-2.0, 1.0, 4.0, 7.0),
         n_channels=1, n_symbol_vectors=300, detectors=("ml", "blmmse")),
