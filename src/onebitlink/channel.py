@@ -8,8 +8,7 @@ unit average power.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +41,14 @@ class ChannelRealization:
     singular_values: np.ndarray   # (n_streams,), non-increasing
 
 
-def steering(n_antennas: int, angle: float, spacing: float = 0.5) -> np.ndarray:
-    """ULA steering vector exp(1j*2*pi*spacing*i*sin(angle)), i = 0..n-1."""
-    idx = np.arange(n_antennas)
+def steering(n_antennas: int, angle, spacing: float = 0.5) -> np.ndarray:
+    """ULA steering vector exp(1j*2*pi*spacing*i*sin(angle)), i = 0..n-1.
+
+    A scalar angle gives shape (n,); an array of angles gives one vector per
+    angle along the trailing axes, shape (n, *angle.shape).
+    """
+    angle = np.asarray(angle)
+    idx = np.arange(n_antennas).reshape((n_antennas,) + (1,) * angle.ndim)
     return np.exp(1j * 2.0 * np.pi * spacing * idx * np.sin(angle))
 
 
@@ -69,10 +73,8 @@ def draw_channel(params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
     aoa, aod = draw_path_angles(p, rng)
     gains = (rng.standard_normal(p.n_paths) + 1j * rng.standard_normal(p.n_paths)) / np.sqrt(2.0)
 
-    idx_rx = np.arange(p.n_rx)[:, None]
-    idx_tx = np.arange(p.n_tx)[:, None]
-    a_rx = np.exp(1j * 2.0 * np.pi * p.spacing * idx_rx * np.sin(aoa)[None, :])  # (M, P)
-    a_tx = np.exp(1j * 2.0 * np.pi * p.spacing * idx_tx * np.sin(aod)[None, :])  # (N, P)
+    a_rx = steering(p.n_rx, aoa, p.spacing)  # (M, P)
+    a_tx = steering(p.n_tx, aod, p.spacing)  # (N, P)
     return (a_rx * gains[None, :]) @ a_tx.conj().T / np.sqrt(p.n_paths)
 
 
@@ -86,44 +88,3 @@ def realize_channel(params: ChannelParams, n_streams: int,
     H = draw_channel(params, rng)
     W, sv = make_precoder(H, n_streams)
     return ChannelRealization(H, W, sv)
-
-
-# ---------------------------------------------------------------------------
-# channel file format
-# ---------------------------------------------------------------------------
-#
-# Binary layout (little endian):
-#   bytes 0:4   magic b"OBL1"
-#   bytes 4:8   uint32 format version (1)
-#   bytes 8:12  uint32 n_rx
-#   bytes 12:16 uint32 n_tx
-#   then n_rx*n_tx complex entries, row major, each a float64 (re, im) pair.
-
-_MAGIC = b"OBL1"
-_HEADER = struct.Struct("<4sIII")
-
-
-def save_channel(path, H: np.ndarray) -> None:
-    """Write a channel matrix in the documented binary format."""
-    H = np.asarray(H, dtype=np.complex128)
-    if H.ndim != 2:
-        raise ParameterError("H must be a matrix")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, 1, H.shape[0], H.shape[1]))
-        fh.write(np.ascontiguousarray(H).astype("<c16").tobytes())
-
-
-def load_channel(path) -> np.ndarray:
-    """Read a channel matrix written by save_channel."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise ParameterError(f"{path}: truncated header")
-        magic, version, m, n = _HEADER.unpack(head)
-        if magic != _MAGIC or version != 1:
-            raise ParameterError(f"{path}: not a version-1 channel file")
-        buf = fh.read()
-    expected = m * n * 16
-    if len(buf) != expected:
-        raise ParameterError(f"{path}: expected {expected} payload bytes, got {len(buf)}")
-    return np.frombuffer(buf, dtype="<c16").reshape(m, n).astype(np.complex128)

@@ -1,5 +1,5 @@
-"""Numerical building blocks: one-bit quantizer, error functions, factorizations,
-constellations, and seeded RNG sub-streams.
+"""Numerical building blocks: one-bit quantizer, factorizations, constellations,
+and seeded RNG sub-streams.
 
 Everything downstream (channel, transmit chain, receive statistics, detectors)
 is built on the small set of primitives defined here.
@@ -8,12 +8,11 @@ is built on the small set of primitives defined here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack as _lapack
-from scipy.special import erf as _erf
 
 
 class ParameterError(ValueError):
@@ -84,25 +83,6 @@ def quantize_1bit(x: np.ndarray, eta: float) -> np.ndarray:
     re = np.where(x.real >= 0, c, -c)
     im = np.where(x.imag >= 0, c, -c)
     return re + 1j * im
-
-
-# ---------------------------------------------------------------------------
-# error functions
-# ---------------------------------------------------------------------------
-
-def erf_real(t):
-    """Gauss error function (2/sqrt(pi)) * integral_0^t exp(-u^2) du, vectorized."""
-    return _erf(t)
-
-
-def erf_complex(z):
-    """Per-axis extension erf(Re z) + 1j*erf(Im z).
-
-    This is not the analytic continuation; both quadratures are passed through
-    the real error function independently.
-    """
-    z = np.asarray(z)
-    return _erf(z.real) + 1j * _erf(z.imag)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ not depend on the transmit array size once the table is built.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +63,11 @@ def enumerate_candidates(constellation: Constellation, n_streams: int,
 
 
 def build_candidate_kernels(H, W, constellation: Constellation, sigma2: float,
-                            eta: float, max_candidates: int = MAX_TABLE):
+                            eta: float):
     """SNR-independent per-candidate kernels (reusable across an SNR sweep)."""
     H = np.asarray(H)
     W = np.asarray(W)
-    digits, symbols = enumerate_candidates(constellation, W.shape[1], max_candidates)
+    digits, symbols = enumerate_candidates(constellation, W.shape[1])
     X = symbols @ W.T
     kernels = [symbol_kernel(H, x, sigma2, eta) for x in X]
     return digits, symbols, kernels
@@ -76,11 +75,10 @@ def build_candidate_kernels(H, W, constellation: Constellation, sigma2: float,
 
 def build_candidate_table(H, W, constellation: Constellation, sigma2: float,
                           eta: float, rho: float,
-                          kernels=None, max_candidates: int = MAX_TABLE) -> CandidateTable:
+                          kernels=None) -> CandidateTable:
     """Assemble the cached detector statistics for one (channel, dither, SNR)."""
     if kernels is None:
-        digits, symbols, kers = build_candidate_kernels(
-            H, W, constellation, sigma2, eta, max_candidates)
+        digits, symbols, kers = build_candidate_kernels(H, W, constellation, sigma2, eta)
     else:
         digits, symbols, kers = kernels
     n = digits.shape[0]
@@ -160,13 +158,3 @@ def slice_min_distance(s_soft: np.ndarray, constellation: Constellation) -> Dete
     """Slice one soft estimate vector; score is the summed squared distance."""
     idx, d2 = slice_min_distance_batch(np.atleast_1d(np.asarray(s_soft)), constellation)
     return DetectorResult(indices=idx, score=float(np.sum(d2)))
-
-
-def time_per_detection(Y: np.ndarray, table: CandidateTable, repeats: int = 5) -> float:
-    """Median wall time per received vector for ml_detect_batch on Y."""
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        ml_detect_batch(Y, table)
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times)) / np.atleast_2d(Y).shape[0]

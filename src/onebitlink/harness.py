@@ -15,17 +15,16 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
+from . import __version__
 from .channel import ChannelParams, draw_channel, make_precoder
 from .core import ParameterError, make_constellation, quantize_1bit, substream
-from .detect import (MAX_TABLE, build_candidate_kernels, build_candidate_table,
+from .detect import (build_candidate_kernels, build_candidate_table,
                      ml_detect_batch, slice_min_distance_batch, blmmse_combiner)
 from .txchain import bussgang_gain, cov_xd, cov_xq_unconditional
-
-VERSION = "0.1.0"
 
 # rng sub-stream purposes; streams are keyed (seed, channel index, purpose)
 CHANNEL = 0
@@ -59,24 +58,28 @@ class ExperimentConfig:
     n_paths: int = 100
     angular_spread: float = pi / 6
     workers: int = 1
-    max_candidates: int = MAX_TABLE
     output: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "rho_db", tuple(float(v) for v in _as_list(self.rho_db)))
         object.__setattr__(self, "dither_dbm", tuple(float(v) for v in _as_list(self.dither_dbm)))
         object.__setattr__(self, "detectors", tuple(_as_list(self.detectors)))
+        # plain ints: digest() cannot serialize numpy integers
         for name in ("n_tx", "n_rx", "n_streams", "n_channels", "n_symbol_vectors",
-                     "n_paths", "workers", "max_candidates"):
+                     "n_paths", "workers"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ParameterError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.n_streams > min(self.n_tx, self.n_rx):
             raise ParameterError("n_streams must not exceed min(n_tx, n_rx)")
-        if self.seed < 0:
-            raise ParameterError("seed must be non-negative")
         if not self.rho_db or not self.dither_dbm:
             raise ParameterError("rho_db and dither_dbm must be non-empty")
+        if not all(isfinite(v) for v in self.rho_db + self.dither_dbm):
+            raise ParameterError("rho_db and dither_dbm must be finite")
         if len(self.rho_db) > 1 and len(self.dither_dbm) > 1:
             raise ParameterError("only one of rho_db / dither_dbm may be a grid")
         if not self.detectors:
@@ -119,7 +122,7 @@ class SweepReport:
     rows: tuple
     seed: int
     config_digest: str
-    version: str = VERSION
+    version: str = __version__
 
 
 def _as_list(v):
@@ -157,8 +160,7 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
     if "ml" in cfg.detectors or "blmmse" in cfg.detectors:
         for _, sigma2, _ in points:
             if "ml" in cfg.detectors and sigma2 not in kernel_cache:
-                kernel_cache[sigma2] = build_candidate_kernels(
-                    H, W, const, sigma2, eta, max_candidates=cfg.max_candidates)
+                kernel_cache[sigma2] = build_candidate_kernels(H, W, const, sigma2, eta)
             if "blmmse" in cfg.detectors and sigma2 not in combiner_cache:
                 C_xd = cov_xd(W, sigma2)
                 combiner_cache[sigma2] = (bussgang_gain(C_xd, eta),
@@ -172,8 +174,7 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
             t0 = time.perf_counter()
             if det == "ml":
                 table = build_candidate_table(H, W, const, sigma2, eta, rho,
-                                              kernels=kernel_cache[sigma2],
-                                              max_candidates=cfg.max_candidates)
+                                              kernels=kernel_cache[sigma2])
                 decided = ml_detect_batch(Y, table)[0]
             elif det == "blmmse":
                 B, C_xq = combiner_cache[sigma2]

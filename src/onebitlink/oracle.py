@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ParameterError, quantize_1bit, substream
-from .stats import (IM, RE, cov_pd, cov_xq_cond, cross_corr_cond,
-                    cross_dither_pd, lmmse_gain, mean_pd, mean_xq_cond,
-                    noise_stats, stack_ri)
+from .stats import (IM, RE, assemble_stats, cov_pd, cov_xq_cond,
+                    cross_corr_cond, cross_dither_pd, lmmse_gain, mean_pd,
+                    mean_xq_cond, noise_stats, stack_ri, symbol_kernel)
 from .txchain import TxConfig, bussgang_gain, cov_xd, cov_xq_unconditional, cov_y_unconditional
 
 MIN_DRAWS = 10 ** 4
@@ -284,11 +284,8 @@ def closed_form_moments(x, H, W, G, cfg: TxConfig, rho: float) -> dict:
     """All closed-form moments for one instance, keyed like the oracle kinds."""
     s2, eta = cfg.sigma2, cfg.eta
     ns = noise_stats(H, x, G, s2, eta, rho)
-    F = stack_ri(np.asarray(H) @ (np.asarray(G) @ np.asarray(x)))
-    mu_y = np.sqrt(rho) * F + ns.mu
-    C_y = (rho * np.outer(F, F)
-           + np.sqrt(rho) * (np.outer(F, ns.mu) + np.outer(ns.mu, F))
-           + ns.C)
+    # the received statistics the detector consumes, gated as they are built
+    mu_y, Sigma_y = assemble_stats(symbol_kernel(H, x, s2, eta), rho)
     C_xd_g = cov_xd(W, s2)
     B = bussgang_gain(C_xd_g, eta)
     C_xq_g = cov_xq_unconditional(C_xd_g, eta)
@@ -302,7 +299,7 @@ def closed_form_moments(x, H, W, G, cfg: TxConfig, rho: float) -> dict:
         "noise_mean": ns.mu,
         "noise_cov": ns.C,
         "y_mean": mu_y,
-        "y_cov": C_y,
+        "y_cov": Sigma_y + np.outer(mu_y, mu_y),
         "cov_xd_gauss": _embed_half(C_xd_g),
         "cross_xd_xq_gauss": _embed_half(C_xd_g @ B),
         "cov_xq_gauss": _embed_half(C_xq_g),

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf
 
-from .core import ParameterError, SingularityError, chol_logdet, erf_real
-from .txchain import TxConfig
+from .core import ParameterError, SingularityError
 
 RE = "re"
 IM = "im"
@@ -63,7 +63,7 @@ def _row_coef(P: np.ndarray, axis: str):
 
 
 def _phi(x: np.ndarray, sigma2: float, axis: str) -> np.ndarray:
-    return erf_real(axis_part(x, axis) / np.sqrt(sigma2))
+    return erf(axis_part(x, axis) / np.sqrt(sigma2))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def mean_xq_cond(x: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
     _check_sigma(sigma2)
     x = np.asarray(x, dtype=np.complex128)
     sig = np.sqrt(sigma2)
-    return np.sqrt(eta / 2.0) * (erf_real(x.real / sig) + 1j * erf_real(x.imag / sig))
+    return np.sqrt(eta / 2.0) * (erf(x.real / sig) + 1j * erf(x.imag / sig))
 
 
 def mean_pd(x: np.ndarray, G: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
@@ -260,46 +260,13 @@ def noise_stats(H: np.ndarray, x: np.ndarray, G: np.ndarray,
     return NoiseStats(mu=mu, C=C, Sigma=C - np.outer(mu, mu))
 
 
-@dataclass(frozen=True)
-class SymbolStats:
-    """Everything the exact-statistics detector needs for one candidate."""
-
-    x: np.ndarray        # (N,) precoded candidate
-    G: np.ndarray        # (N, N) linearization gain at x
-    mu_y: np.ndarray     # (2M,) mean of the stacked received vector
-    Sigma_y: np.ndarray  # (2M, 2M) covariance of the stacked received vector
-    chol: np.ndarray     # (2M, 2M) lower Cholesky factor of Sigma_y
-    logdet: float
-
-
-def symbol_stats(H: np.ndarray, W: np.ndarray, s: np.ndarray,
-                 cfg: TxConfig, rho: float) -> SymbolStats:
-    """Mean/covariance of the stacked received vector for one symbol vector."""
-    H = np.asarray(H)
-    W = np.asarray(W)
-    s = np.asarray(s, dtype=np.complex128)
-    x = W @ s
-    G = lmmse_gain(x, cfg.sigma2, cfg.eta)
-    ns = noise_stats(H, x, G, cfg.sigma2, cfg.eta, rho)
-
-    F = stack_ri(H @ (G @ x))
-    mu_y = np.sqrt(rho) * F + ns.mu
-    C_y = (rho * np.outer(F, F)
-           + np.sqrt(rho) * (np.outer(F, ns.mu) + np.outer(ns.mu, F))
-           + ns.C)
-    Sigma_y = C_y - np.outer(mu_y, mu_y)
-    fac = chol_logdet(Sigma_y)
-    return SymbolStats(x=x, G=G, mu_y=mu_y, Sigma_y=Sigma_y,
-                       chol=fac.factor, logdet=fac.logdet)
-
-
 # ---------------------------------------------------------------------------
 # fast per-candidate kernel
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SymbolKernel:
-    """SNR-independent core of SymbolStats for one candidate.
+    """SNR-independent core of the received statistics for one candidate.
 
     Conditioned on x the quantizer output has independent entries, zero
     cross-axis covariance, and per-axis variances (eta/2)(1 - Phi^2), so the
@@ -308,9 +275,11 @@ class SymbolKernel:
         mu_y(rho)    = sqrt(rho) * mean_core
         Sigma_y(rho) = rho * inner + I/2
 
-    This is algebraically identical to the term-by-term route in
-    symbol_stats (the linearization gain cancels) but costs O(M^2 N) per
-    candidate, which is what makes exhaustive candidate tables affordable.
+    This is algebraically identical to the term-by-term route, where mu_y is
+    sqrt(rho) stack_ri(H G x) plus the noise_stats mean and Sigma_y is the
+    noise_stats covariance (the linearization gain cancels), but costs
+    O(M^2 N) per candidate, which is what makes exhaustive candidate tables
+    affordable.
     """
 
     mean_core: np.ndarray  # (2M,)

@@ -3,9 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from onebitlink.channel import (ChannelParams, draw_channel,
-                                draw_path_angles, load_channel,
-                                make_precoder, realize_channel, save_channel,
-                                steering)
+                                draw_path_angles, make_precoder,
+                                realize_channel, steering)
 from onebitlink.core import ParameterError, qam16, substream
 
 
@@ -18,6 +17,27 @@ def test_steering_phase_progression():
     ratio = a[1:] / a[:-1]
     assert_allclose(ratio, np.exp(1j * 2 * np.pi * 0.5 * np.sin(0.7)), atol=1e-12)
     assert_allclose(np.abs(a), 1.0, atol=1e-15)
+
+
+def test_steering_over_an_angle_array_stacks_the_scalar_vectors():
+    angles = np.array([-0.4, 0.0, 0.25, 1.1])
+    A = steering(7, angles, spacing=0.3)
+    assert A.shape == (7, 4)
+    for j, t in enumerate(angles):
+        assert np.array_equal(A[:, j], steering(7, t, spacing=0.3))
+    assert steering(7, 0.25).shape == (7,)
+
+
+def test_draw_channel_bit_identical_to_explicit_path_sum():
+    # the path sum written out with the same operation order, for the same stream
+    params = ChannelParams(n_rx=5, n_tx=12, n_paths=30)
+    H = draw_channel(params, substream(4, 0, 0))
+    rng = substream(4, 0, 0)
+    aoa, aod = draw_path_angles(params, rng)
+    gains = (rng.standard_normal(30) + 1j * rng.standard_normal(30)) / np.sqrt(2.0)
+    a_rx = np.exp(1j * 2.0 * np.pi * 0.5 * np.arange(5)[:, None] * np.sin(aoa)[None, :])
+    a_tx = np.exp(1j * 2.0 * np.pi * 0.5 * np.arange(12)[:, None] * np.sin(aod)[None, :])
+    assert np.array_equal(H, (a_rx * gains[None, :]) @ a_tx.conj().T / np.sqrt(30))
 
 
 def test_single_path_channel_is_rank_one():
@@ -164,30 +184,3 @@ def test_channel_params_validation():
         ChannelParams(n_rx=2, n_tx=4, n_paths=0)
     with pytest.raises(ParameterError):
         ChannelParams(n_rx=2, n_tx=4, angular_spread=-0.1)
-
-
-def test_channel_file_round_trip(tmp_path):
-    rng = substream(5, 0)
-    H = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    path = tmp_path / "chan.bin"
-    save_channel(path, H)
-    assert np.array_equal(load_channel(path), H)
-
-
-def test_channel_file_rejects_bad_magic(tmp_path):
-    path = tmp_path / "chan.bin"
-    save_channel(path, np.eye(2, dtype=complex))
-    raw = bytearray(path.read_bytes())
-    raw[:4] = b"XXXX"
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ParameterError):
-        load_channel(path)
-
-
-def test_channel_file_rejects_truncation(tmp_path):
-    path = tmp_path / "chan.bin"
-    save_channel(path, np.eye(2, dtype=complex))
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
-    with pytest.raises(ParameterError):
-        load_channel(path)

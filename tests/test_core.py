@@ -1,42 +1,10 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
 
 from onebitlink.core import (Constellation, FactorizationError, ParameterError,
-                             chol_logdet, erf_complex, erf_real,
-                             make_constellation, qam16, qpsk, quantize_1bit,
-                             substream, svd_topk)
-
-# erf(1) from an independent quadrature of the defining integral, frozen.
-ERF_ONE = 0.8427007929497149
-
-
-def test_erf_real_against_quadrature():
-    val, err = quad(lambda t: 2.0 / np.sqrt(np.pi) * np.exp(-t * t), 0.0, 1.0)
-    assert err < 1e-12
-    assert abs(val - ERF_ONE) < 1e-12
-    assert abs(erf_real(1.0) - ERF_ONE) < 1e-14
-
-
-def test_erf_real_odd_and_limits():
-    t = np.linspace(-3, 3, 31)
-    assert_allclose(erf_real(-t), -erf_real(t), atol=1e-15)
-    assert erf_real(10.0) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_erf_complex_acts_per_axis():
-    z = np.array([0.3 - 1.2j, -0.7 + 0.1j, 2.0 + 0.0j])
-    out = erf_complex(z)
-    assert_allclose(out.real, erf_real(z.real), atol=1e-15)
-    assert_allclose(out.imag, erf_real(z.imag), atol=1e-15)
-    assert erf_complex(1 + 1j) == pytest.approx(ERF_ONE * (1 + 1j), abs=1e-14)
-
-
-def test_erf_complex_commutes_with_conjugation():
-    z = 0.8 - 0.45j
-    assert erf_complex(np.conj(z)) == pytest.approx(np.conj(erf_complex(z)), abs=1e-15)
-
+                             chol_logdet, make_constellation, qam16, qpsk,
+                             quantize_1bit, substream, svd_topk)
 
 # ---------------------------------------------------------------------------
 # 1-bit quantizer

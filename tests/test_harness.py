@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import onebitlink
 from onebitlink.cli import main
 from onebitlink.core import ParameterError
 from onebitlink.harness import (CSV_HEADER, ExperimentConfig, SweepReport,
@@ -33,6 +34,15 @@ def test_config_validation_errors():
         ExperimentConfig(seed=-1)
     with pytest.raises(ParameterError):
         ExperimentConfig(constellation="8psk")
+    with pytest.raises(ParameterError):
+        ExperimentConfig(rho_db=(float("nan"),))
+    with pytest.raises(ParameterError):
+        ExperimentConfig(dither_dbm=(0.0, float("inf")))
+    # numpy integers are accepted and stored as plain ints, which the digest needs
+    small = dict(n_rx=2, n_channels=1, n_symbol_vectors=10, detectors=("guess",))
+    cfg = ExperimentConfig(n_tx=np.int64(8), seed=np.int64(1), **small)
+    assert type(cfg.n_tx) is int and type(cfg.seed) is int
+    assert run_sweep(cfg).config_digest == ExperimentConfig(n_tx=8, seed=1, **small).digest()
 
 
 def test_sweep_points_axis_selection():
@@ -144,6 +154,11 @@ def test_csv_text_layout(tmp_path):
     assert path.read_bytes().decode("utf-8") == text
 
 
+def test_report_version_is_the_package_version():
+    report = SweepReport(rows=(), seed=0, config_digest="0" * 64)
+    assert report.version == onebitlink.__version__
+
+
 def test_csv_empty_report_is_header_only():
     empty = SweepReport(rows=(), seed=0, config_digest="0" * 64)
     assert to_csv_text(empty) == CSV_HEADER + "\n"
@@ -239,6 +254,7 @@ def test_cli_rejects_bad_configuration():
     assert main(["--n", "4", "--m", "2", "--k", "3"]) == 2
     assert main(["--detectors", "zf"]) == 2
     assert main(["--config", "/nonexistent/path.cfg"]) == 2
+    assert main(["--n", "8", "--m", "2", "--snr-db", "nan"]) == 2
 
 
 def test_cli_self_check_passes():

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from onebitlink.core import SingularityError, erf_real, qam16, quantize_1bit, substream
+from scipy.special import erf
+
+from onebitlink.core import SingularityError, chol_logdet, qam16, quantize_1bit, substream
 from onebitlink.stats import (IM, RE, assemble_stats, axis_part, cov_pd,
                               cov_xq_cond, cross_corr_cond,
                               cross_corr_cond_complex, cross_dither_pd,
                               lmmse_gain, mean_pd, mean_xq_cond, noise_stats,
-                              stack_ri, symbol_kernel, symbol_stats)
-from onebitlink.txchain import TxConfig
+                              stack_ri, symbol_kernel)
 
 
 def _instance(seed, n=4, m=3, k=2, sigma2=0.3):
@@ -37,11 +38,11 @@ def test_scalar_cross_corr_hand_formula():
     x = np.array([a + 1j * b])
     sig = np.sqrt(sigma2)
     rr = cross_corr_cond(x, sigma2, eta, RE, RE)[0, 0]
-    expect = np.sqrt(eta / 2) * (a * erf_real(a / sig)
+    expect = np.sqrt(eta / 2) * (a * erf(a / sig)
                                  + np.sqrt(sigma2 / np.pi) * np.exp(-a * a / sigma2))
     assert rr == pytest.approx(expect, rel=1e-14)
     ri = cross_corr_cond(x, sigma2, eta, RE, IM)[0, 0]
-    assert ri == pytest.approx(np.sqrt(eta / 2) * a * erf_real(b / sig), rel=1e-14)
+    assert ri == pytest.approx(np.sqrt(eta / 2) * a * erf(b / sig), rel=1e-14)
 
 
 def test_scalar_mean_and_cov():
@@ -49,13 +50,13 @@ def test_scalar_mean_and_cov():
     x = np.array([a + 1j * b])
     sig = np.sqrt(sigma2)
     m = mean_xq_cond(x, sigma2, eta)[0]
-    assert m.real == pytest.approx(np.sqrt(eta / 2) * erf_real(a / sig), rel=1e-14)
-    assert m.imag == pytest.approx(np.sqrt(eta / 2) * erf_real(b / sig), rel=1e-14)
+    assert m.real == pytest.approx(np.sqrt(eta / 2) * erf(a / sig), rel=1e-14)
+    assert m.imag == pytest.approx(np.sqrt(eta / 2) * erf(b / sig), rel=1e-14)
     # constant-modulus output: matched-axis second moment is exactly eta/2
     assert cov_xq_cond(x, sigma2, eta, RE, RE)[0, 0] == eta / 2
     assert cov_xq_cond(x, sigma2, eta, IM, IM)[0, 0] == eta / 2
     cross = cov_xq_cond(x, sigma2, eta, RE, IM)[0, 0]
-    assert cross == pytest.approx((eta / 2) * erf_real(a / sig) * erf_real(b / sig), rel=1e-14)
+    assert cross == pytest.approx((eta / 2) * erf(a / sig) * erf(b / sig), rel=1e-14)
 
 
 def test_zero_signal_gain_is_scaled_identity():
@@ -157,37 +158,38 @@ def test_noise_stats_conjugation_negates_cross_blocks():
     assert_allclose(b.C[m:, :m], -a.C[m:, :m], atol=1e-12)
 
 
-def test_symbol_stats_zero_snr_collapses_to_awgn():
+def test_kernel_zero_snr_collapses_to_awgn():
     H, W, s, x, sigma2, eta = _instance(8)
-    cfg = TxConfig(sigma2=sigma2, eta=eta, constellation=qam16())
-    ss = symbol_stats(H, W, s, cfg, rho=0.0)
+    mu, Sigma = assemble_stats(symbol_kernel(H, x, sigma2, eta), 0.0)
     m = H.shape[0]
-    assert_allclose(ss.mu_y, np.zeros(2 * m), atol=1e-14)
-    assert_allclose(ss.Sigma_y, 0.5 * np.eye(2 * m), atol=1e-12)
-    assert ss.logdet == pytest.approx(2 * m * np.log(0.5), rel=1e-10)
+    assert_allclose(mu, np.zeros(2 * m), atol=1e-14)
+    assert_allclose(Sigma, 0.5 * np.eye(2 * m), atol=1e-12)
+    assert chol_logdet(Sigma).logdet == pytest.approx(2 * m * np.log(0.5), rel=1e-10)
 
 
 def test_symbol_stats_matches_kernel_route():
     # two independent derivations of the same Gaussian approximation: the
-    # four-term effective-noise assembly and the direct quantizer-moment route
+    # direct quantizer-moment kernel and the four-term effective-noise
+    # assembly, whose signal part sqrt(rho) H G x is added back to its mean
     for seed, k in ((9, 1), (10, 2), (11, 3)):
         H, W, s, x, sigma2, eta = _instance(seed, n=6, m=3, k=k)
-        cfg = TxConfig(sigma2=sigma2, eta=eta, constellation=qam16())
+        G = lmmse_gain(x, sigma2, eta)
         for rho in (0.3, 4.0):
-            ss = symbol_stats(H, W, s, cfg, rho)
             mu, Sigma = assemble_stats(symbol_kernel(H, x, sigma2, eta), rho)
-            assert np.max(np.abs(mu - ss.mu_y)) < 1e-10
-            assert np.max(np.abs(Sigma - ss.Sigma_y)) < 1e-10
+            ns = noise_stats(H, x, G, sigma2, eta, rho)
+            assert np.max(np.abs(mu - (np.sqrt(rho) * stack_ri(H @ G @ x) + ns.mu))) < 1e-10
+            assert np.max(np.abs(Sigma - ns.Sigma)) < 1e-10
 
 
-def test_symbol_stats_cholesky_is_coherent():
+def test_kernel_cholesky_is_coherent():
     H, W, s, x, sigma2, eta = _instance(12)
-    cfg = TxConfig(sigma2=sigma2, eta=eta, constellation=qam16())
-    ss = symbol_stats(H, W, s, cfg, rho=3.0)
-    assert_allclose(ss.chol @ ss.chol.T, ss.Sigma_y, atol=1e-10)
-    sign, ld = np.linalg.slogdet(ss.Sigma_y)
+    _, Sigma = assemble_stats(symbol_kernel(H, x, sigma2, eta), 3.0)
+    fac = chol_logdet(Sigma)
+    assert fac.jitter == 0.0
+    assert_allclose(fac.factor @ fac.factor.T, Sigma, atol=1e-10)
+    sign, ld = np.linalg.slogdet(Sigma)
     assert sign == 1.0
-    assert ss.logdet == pytest.approx(ld, rel=1e-10)
+    assert fac.logdet == pytest.approx(ld, rel=1e-10)
 
 
 def test_symbol_kernel_mean_scales_with_sqrt_snr():
@@ -276,13 +278,12 @@ def test_noise_mean_vanishes_at_zero_symbol():
 
 def test_symbol_stats_covariance_reduces_to_noise_covariance():
     # the deterministic signal part cancels between C_y and mu mu^T, so the
-    # received covariance equals the effective-noise covariance
+    # kernel's received covariance equals the effective-noise covariance
     H, W, s, x, sigma2, eta = _instance(63)
-    cfg = TxConfig(sigma2=sigma2, eta=eta, constellation=qam16())
     rho = 3.0
-    st = symbol_stats(H, W, s, cfg, rho)
+    _, Sigma = assemble_stats(symbol_kernel(H, x, sigma2, eta), rho)
     G = lmmse_gain(x, sigma2, eta)
     ns = noise_stats(H, x, G, sigma2, eta, rho)
-    assert_allclose(st.Sigma_y, ns.Sigma, atol=1e-11)
-    eigs = np.linalg.eigvalsh(st.Sigma_y)
+    assert_allclose(Sigma, ns.Sigma, atol=1e-11)
+    eigs = np.linalg.eigvalsh(Sigma)
     assert eigs.min() >= 0.5 - 1e-9
