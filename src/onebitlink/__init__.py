@@ -21,7 +21,7 @@ from .txchain import (TxConfig, TxRealization, bussgang_gain, cov_xd,
                       cov_xq_unconditional, cov_y_unconditional, transmit)
 from .stats import (NoiseStats, SymbolKernel, assemble_stats, cov_pd,
                     cov_xq_cond, cross_corr_cond, cross_corr_cond_complex,
-                    cross_dither_pd, lmmse_gain, mean_pd, mean_xq_cond,
+                    cross_dither_pd, embed, lmmse_gain, mean_pd, mean_xq_cond,
                     noise_stats, stack_ri, symbol_kernel)
 from .detect import (CandidateTable, DetectorResult, blmmse_combiner,
                      build_candidate_kernels, build_candidate_table,

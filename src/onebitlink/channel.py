@@ -9,6 +9,8 @@ unit average power.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
+from numbers import Real
 
 import numpy as np
 
@@ -30,8 +32,10 @@ class ChannelParams:
             raise ParameterError("antenna counts must be positive")
         if self.n_paths < 1:
             raise ParameterError("need at least one propagation path")
-        if self.angular_spread < 0:
-            raise ParameterError("angular spread must be non-negative")
+        spread = self.angular_spread
+        if not (isinstance(spread, Real) and isfinite(spread) and spread >= 0):
+            raise ParameterError(
+                f"angular spread must be a finite non-negative number, got {spread!r}")
 
 
 @dataclass(frozen=True)

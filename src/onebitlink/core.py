@@ -197,12 +197,11 @@ _CONSTELLATIONS = {
 
 
 def make_constellation(name: str) -> Constellation:
-    try:
-        factory = _CONSTELLATIONS[name.lower()]
-    except KeyError:
+    factory = _CONSTELLATIONS.get(name.lower()) if isinstance(name, str) else None
+    if factory is None:
         raise ParameterError(
             f"unknown constellation {name!r}; choose from {sorted(_CONSTELLATIONS)}"
-        ) from None
+        )
     return factory()
 
 

@@ -90,6 +90,16 @@ class ExperimentConfig:
         if len(set(self.detectors)) != len(self.detectors):
             raise ParameterError("detectors must not repeat")
         make_constellation(self.constellation)  # raises on unknown name
+        ChannelParams(n_rx=self.n_rx, n_tx=self.n_tx, n_paths=self.n_paths,
+                      angular_spread=self.angular_spread)  # raises on a bad spread
+        try:
+            ok = all(isfinite(s2) and s2 > 0 and isfinite(rho)
+                     for _, s2, rho in self.sweep_points()[1])
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ParameterError("rho_db and dither_dbm must give a finite linear SNR "
+                                 "and a finite, positive dither power")
 
     def sweep_points(self):
         """(axis name, [(axis value, sigma2 linear, rho linear), ...])."""
@@ -154,17 +164,27 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
     if "guess" in cfg.detectors:
         guess_digits = substream(cfg.seed, channel_index, GUESS).integers(0, const.size, size=(nv, k))
 
+    # Per-dither pieces, reused at every SNR point of the same dither power.
+    # Their build time is charged to the first point that uses them. They are
+    # built here, not between detector calls: interleaving these numpy-BLAS
+    # builds with the scipy-BLAS factorizations and solves moved whole sweeps
+    # by up to 20% either way on a 2-core host, where both BLAS thread pools
+    # compete, so the builds keep the order the benchmark baseline measured.
     points = cfg.sweep_points()[1]
     kernel_cache = {}
     combiner_cache = {}
-    if "ml" in cfg.detectors or "blmmse" in cfg.detectors:
-        for _, sigma2, _ in points:
-            if "ml" in cfg.detectors and sigma2 not in kernel_cache:
-                kernel_cache[sigma2] = build_candidate_kernels(H, W, const, sigma2, eta)
-            if "blmmse" in cfg.detectors and sigma2 not in combiner_cache:
-                C_xd = cov_xd(W, sigma2)
-                combiner_cache[sigma2] = (bussgang_gain(C_xd, eta),
-                                          cov_xq_unconditional(C_xd, eta))
+    build_seconds = {}
+    for _, sigma2, _ in points:
+        if "ml" in cfg.detectors and sigma2 not in kernel_cache:
+            t0 = time.perf_counter()
+            kernel_cache[sigma2] = build_candidate_kernels(H, W, const, sigma2, eta)
+            build_seconds[(sigma2, "ml")] = time.perf_counter() - t0
+        if "blmmse" in cfg.detectors and sigma2 not in combiner_cache:
+            t0 = time.perf_counter()
+            C_xd = cov_xd(W, sigma2)
+            combiner_cache[sigma2] = (bussgang_gain(C_xd, eta),
+                                      cov_xq_unconditional(C_xd, eta))
+            build_seconds[(sigma2, "blmmse")] = time.perf_counter() - t0
 
     out = {}
     for idx, (_, sigma2, rho) in enumerate(points):
@@ -183,7 +203,8 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
             else:
                 decided = guess_digits
             errors = int(np.sum(decided != true_digits))
-            out[(idx, det)] = (errors, time.perf_counter() - t0)
+            seconds = time.perf_counter() - t0 + build_seconds.pop((sigma2, det), 0.0)
+            out[(idx, det)] = (errors, seconds)
     return out
 
 

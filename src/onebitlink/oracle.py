@@ -9,7 +9,8 @@ host.
 
 All estimates are reported in the stacked-real convention: a complex length-n
 vector becomes [Re; Im] of length 2n, and cross moments E[a b^T] are 2n x 2n
-real matrices holding the four quadrature blocks.
+real matrices holding the four quadrature blocks. A proper complex second
+moment C reads 0.5 * stats.embed(C) in this form.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ParameterError, quantize_1bit, substream
-from .stats import (IM, RE, assemble_stats, cov_pd, cov_xq_cond,
-                    cross_corr_cond, cross_dither_pd, lmmse_gain, mean_pd,
-                    mean_xq_cond, noise_stats, stack_ri, symbol_kernel)
+from .stats import (assemble_stats, cov_pd, cov_xq_cond, cross_corr_cond,
+                    cross_dither_pd, embed, lmmse_gain, mean_pd, mean_xq_cond,
+                    noise_stats, stack_ri, symbol_kernel)
 from .txchain import TxConfig, bussgang_gain, cov_xd, cov_xq_unconditional, cov_y_unconditional
 
 MIN_DRAWS = 10 ** 4
@@ -269,17 +270,6 @@ class CheckRow:
         return self.within / self.entries
 
 
-def _axis_blocks(fn):
-    """Assemble [[f(re,re), f(re,im)], [f(im,re), f(im,im)]]."""
-    return np.block([[fn(RE, RE), fn(RE, IM)], [fn(IM, RE), fn(IM, IM)]])
-
-
-def _embed_half(C):
-    """Stacked-real second moment of jointly proper vectors: 0.5*[[Re,-Im],[Im,Re]]."""
-    C = np.asarray(C)
-    return 0.5 * np.block([[C.real, -C.imag], [C.imag, C.real]])
-
-
 def closed_form_moments(x, H, W, G, cfg: TxConfig, rho: float) -> dict:
     """All closed-form moments for one instance, keyed like the oracle kinds."""
     s2, eta = cfg.sigma2, cfg.eta
@@ -291,19 +281,19 @@ def closed_form_moments(x, H, W, G, cfg: TxConfig, rho: float) -> dict:
     C_xq_g = cov_xq_unconditional(C_xd_g, eta)
     return {
         "mean_xq": stack_ri(mean_xq_cond(x, s2, eta)),
-        "cross_xd_xq": _axis_blocks(lambda a, b: cross_corr_cond(x, s2, eta, a, b)),
-        "cov_xq": _axis_blocks(lambda a, b: cov_xq_cond(x, s2, eta, a, b)),
+        "cross_xd_xq": cross_corr_cond(x, s2, eta),
+        "cov_xq": cov_xq_cond(x, s2, eta),
         "mean_pd": stack_ri(mean_pd(x, G, s2, eta)),
-        "cross_d_pd": _axis_blocks(lambda a, b: cross_dither_pd(x, G, s2, eta, a, b)),
-        "cov_pd": _axis_blocks(lambda a, b: cov_pd(x, G, s2, eta, a, b)),
+        "cross_d_pd": cross_dither_pd(x, G, s2, eta),
+        "cov_pd": cov_pd(x, G, s2, eta),
         "noise_mean": ns.mu,
         "noise_cov": ns.C,
         "y_mean": mu_y,
         "y_cov": Sigma_y + np.outer(mu_y, mu_y),
-        "cov_xd_gauss": _embed_half(C_xd_g),
-        "cross_xd_xq_gauss": _embed_half(C_xd_g @ B),
-        "cov_xq_gauss": _embed_half(C_xq_g),
-        "cov_y_gauss": _embed_half(cov_y_unconditional(H, C_xq_g, rho)),
+        "cov_xd_gauss": 0.5 * embed(C_xd_g),
+        "cross_xd_xq_gauss": 0.5 * embed(C_xd_g @ B),
+        "cov_xq_gauss": 0.5 * embed(C_xq_g),
+        "cov_y_gauss": 0.5 * embed(cov_y_unconditional(H, C_xq_g, rho)),
         "cross_qd_xd_gauss": np.zeros((2 * np.asarray(x).size, 2 * np.asarray(x).size)),
     }
 

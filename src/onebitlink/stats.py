@@ -3,13 +3,16 @@
 For a fixed precoded vector x, the dithered input to the one-bit quantizer is
 Gaussian with mean x, so every first and second moment of the quantizer output
 (and of the residual left after the best linear approximation around x) has a
-closed form in the Gauss error function. This module provides those moments,
-per quadrature axis, and assembles them into the mean and covariance of the
-stacked real received vector that the exact-statistics detector consumes.
+closed form in the Gauss error function. This module provides those moments
+and assembles them into the mean and covariance of the stacked real received
+vector that the exact-statistics detector consumes.
 
-Axis convention: real parts first. A complex length-n vector v maps to the
-real length-2n vector [Re v; Im v], and a complex matrix product expands as
-Re[P Q] = Re P Re Q - Im P Im Q, Im[P Q] = Re P Im Q + Im P Re Q.
+Stacked-real convention: real parts first. A complex length-n vector v maps
+to the real length-2n vector stack_ri(v) = [Re v; Im v], a complex matrix P
+to embed(P) = [[Re P, -Im P], [Im P, Re P]], so that
+stack_ri(P v) = embed(P) stack_ri(v). Every second moment E[a b^T] is the
+full (2n, 2n) real matrix of the stacked vectors, holding all four
+quadrature blocks.
 """
 
 from __future__ import annotations
@@ -21,20 +24,6 @@ from scipy.special import erf
 
 from .core import ParameterError, SingularityError
 
-RE = "re"
-IM = "im"
-AXES = (RE, IM)
-
-
-def axis_part(z, axis: str) -> np.ndarray:
-    """Re or Im part of a complex array, selected by axis tag."""
-    z = np.asarray(z)
-    if axis == RE:
-        return z.real
-    if axis == IM:
-        return z.imag
-    raise ParameterError(f"axis must be {RE!r} or {IM!r}, got {axis!r}")
-
 
 def stack_ri(v) -> np.ndarray:
     """Stack a complex vector into [Re v; Im v]."""
@@ -42,10 +31,10 @@ def stack_ri(v) -> np.ndarray:
     return np.concatenate([v.real, v.imag])
 
 
-def _check_axes(*axes):
-    for a in axes:
-        if a not in AXES:
-            raise ParameterError(f"axis must be {RE!r} or {IM!r}, got {a!r}")
+def embed(P) -> np.ndarray:
+    """Real form [[Re P, -Im P], [Im P, Re P]] of a complex matrix P."""
+    P = np.asarray(P)
+    return np.block([[P.real, -P.imag], [P.imag, P.real]])
 
 
 def _check_sigma(sigma2: float):
@@ -55,46 +44,35 @@ def _check_sigma(sigma2: float):
         )
 
 
-def _row_coef(P: np.ndarray, axis: str):
-    """Real matrices (on_re, on_im) with axis[P v] = on_re @ Re v + on_im @ Im v."""
-    if axis == RE:
-        return P.real, -P.imag
-    return P.imag, P.real
-
-
-def _phi(x: np.ndarray, sigma2: float, axis: str) -> np.ndarray:
-    return erf(axis_part(x, axis) / np.sqrt(sigma2))
+def _phi(x: np.ndarray, sigma2: float) -> np.ndarray:
+    """erf(stack_ri(x) / sigma): the stacked sign means of the quantizer, unscaled."""
+    return erf(stack_ri(x) / np.sqrt(sigma2))
 
 
 # ---------------------------------------------------------------------------
 # moments of the quantizer output for fixed x
 # ---------------------------------------------------------------------------
 
-def cross_corr_cond(x: np.ndarray, sigma2: float, eta: float,
-                    axis_a: str, axis_b: str) -> np.ndarray:
-    """E[ A[x_d] B[x_q]^T | x ] for one pair of quadrature axes.
+def cross_corr_cond(x: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
+    """E[ stack_ri(x_d) stack_ri(x_q)^T | x ].
 
-    Off-diagonal entries factor into A[x_n] * Phi(B[x_m]/sigma); the diagonal
-    gains an extra sqrt(sigma2/pi) * exp(-(A[x_n]/sigma)^2) term when both
-    axes coincide.
+    With xs = stack_ri(x), entry (i, j) factors into
+    sqrt(eta/2) * xs_i * erf(xs_j/sigma); the diagonal (same antenna, same
+    axis) gains an extra sqrt(eta/2) * sqrt(sigma2/pi) * exp(-xs_i^2/sigma2).
     """
     _check_sigma(sigma2)
-    _check_axes(axis_a, axis_b)
     x = np.asarray(x, dtype=np.complex128)
+    xs = stack_ri(x)
     amp = np.sqrt(eta / 2.0)
-    C = amp * np.outer(axis_part(x, axis_a), _phi(x, sigma2, axis_b))
-    if axis_a == axis_b:
-        g = np.sqrt(sigma2 / np.pi) * np.exp(-axis_part(x, axis_a) ** 2 / sigma2)
-        C = C + amp * np.diag(g)
-    return C
+    g = np.sqrt(sigma2 / np.pi) * np.exp(-xs ** 2 / sigma2)
+    return amp * np.outer(xs, _phi(x, sigma2)) + amp * np.diag(g)
 
 
 def cross_corr_cond_complex(x: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
-    """E[ x_d x_q^H | x ], assembled from the four axis blocks."""
-    rr = cross_corr_cond(x, sigma2, eta, RE, RE)
-    ii = cross_corr_cond(x, sigma2, eta, IM, IM)
-    ri = cross_corr_cond(x, sigma2, eta, RE, IM)
-    ir = cross_corr_cond(x, sigma2, eta, IM, RE)
+    """E[ x_d x_q^H | x ], read off the blocks of the stacked cross-correlation."""
+    n = np.asarray(x).size
+    C = cross_corr_cond(x, sigma2, eta)
+    rr, ri, ir, ii = C[:n, :n], C[:n, n:], C[n:, :n], C[n:, n:]
     return rr + ii + 1j * (ir - ri)
 
 
@@ -126,79 +104,41 @@ def mean_pd(x: np.ndarray, G: np.ndarray, sigma2: float, eta: float) -> np.ndarr
     return mean_xq_cond(x, sigma2, eta) - np.asarray(G) @ np.asarray(x, dtype=np.complex128)
 
 
-def cov_xq_cond(x: np.ndarray, sigma2: float, eta: float,
-                axis_a: str, axis_b: str) -> np.ndarray:
-    """E[ A[x_q] B[x_q]^T | x ] for one pair of quadrature axes.
+def cov_xq_cond(x: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
+    """E[ stack_ri(x_q) stack_ri(x_q)^T | x ].
 
     Entries on distinct antennas (or distinct axes) are independent given x,
-    so they factor into the product of means; matched-axis diagonal entries
-    equal eta/2 exactly because the quantizer output has constant modulus.
+    so they factor into the product of means; diagonal entries equal eta/2
+    exactly because the quantizer output has constant modulus.
     """
     _check_sigma(sigma2)
-    _check_axes(axis_a, axis_b)
-    x = np.asarray(x, dtype=np.complex128)
-    pa, pb = _phi(x, sigma2, axis_a), _phi(x, sigma2, axis_b)
-    C = (eta / 2.0) * np.outer(pa, pb)
-    if axis_a == axis_b:
-        C = C + (eta / 2.0) * np.diag(1.0 - pa * pb)
-    return C
+    phi = _phi(np.asarray(x, dtype=np.complex128), sigma2)
+    return (eta / 2.0) * np.outer(phi, phi) + (eta / 2.0) * np.diag(1.0 - phi * phi)
 
 
-def _dither_quad(P: np.ndarray, Q: np.ndarray, sigma2: float,
-                 axis_a: str, axis_b: str) -> np.ndarray:
-    """E[ A[P d] B[Q d]^T ] for circular Gaussian d with per-axis variance sigma2/2."""
-    Pr, Pi = np.asarray(P).real, np.asarray(P).imag
-    Qr, Qi = np.asarray(Q).real, np.asarray(Q).imag
-    half = sigma2 / 2.0
-    if axis_a == axis_b:
-        return half * (Pr @ Qr.T + Pi @ Qi.T)
-    if (axis_a, axis_b) == (RE, IM):
-        return half * (Pr @ Qi.T - Pi @ Qr.T)
-    return half * (Pi @ Qr.T - Pr @ Qi.T)
-
-
-def cross_dither_pd(x: np.ndarray, G: np.ndarray, sigma2: float, eta: float,
-                    axis_a: str, axis_b: str) -> np.ndarray:
-    """E[ A[d] B[p_d]^T | x ]: dither against the linearization residual.
+def cross_dither_pd(x: np.ndarray, G: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
+    """E[ stack_ri(d) stack_ri(p_d)^T | x ]: dither against the linearization residual.
 
     Three contributions: the dither/quantizer cross-correlation, minus the
     dither passed through G, minus the deterministic mean coupling.
     """
     _check_sigma(sigma2)
-    _check_axes(axis_a, axis_b)
     x = np.asarray(x, dtype=np.complex128)
-    G = np.asarray(G)
-    C = cross_corr_cond(x, sigma2, eta, axis_a, axis_b)
-    # E[A[d] B[G d]^T] in terms of the real and imaginary parts of G
-    if axis_a == axis_b:
-        KG = G.real.T
-    elif (axis_a, axis_b) == (RE, IM):
-        KG = G.imag.T
-    else:
-        KG = -G.imag.T
-    mean_q = np.sqrt(eta / 2.0) * _phi(x, sigma2, axis_b)
-    return C - (sigma2 / 2.0) * KG - np.outer(axis_part(x, axis_a), mean_q)
+    mean_q = np.sqrt(eta / 2.0) * _phi(x, sigma2)
+    return (cross_corr_cond(x, sigma2, eta) - (sigma2 / 2.0) * embed(G).T
+            - np.outer(stack_ri(x), mean_q))
 
 
-def cov_pd(x: np.ndarray, G: np.ndarray, sigma2: float, eta: float,
-           axis_a: str, axis_b: str) -> np.ndarray:
-    """E[ A[p_d] B[p_d]^T | x ]: second moment of the linearization residual."""
+def cov_pd(x: np.ndarray, G: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
+    """E[ stack_ri(p_d) stack_ri(p_d)^T | x ]: second moment of the linearization residual."""
     _check_sigma(sigma2)
-    _check_axes(axis_a, axis_b)
     x = np.asarray(x, dtype=np.complex128)
     G = np.asarray(G)
-
-    def p1(a, b):
-        # E[ A[G x_d] B[x_q]^T ]
-        on_re, on_im = _row_coef(G, a)
-        return (on_re @ cross_corr_cond(x, sigma2, eta, RE, b)
-                + on_im @ cross_corr_cond(x, sigma2, eta, IM, b))
-
-    gx = G @ x
-    return (cov_xq_cond(x, sigma2, eta, axis_a, axis_b)
-            - p1(axis_a, axis_b) - p1(axis_b, axis_a).T
-            + _dither_quad(G, G, sigma2, axis_a, axis_b)
-            + np.outer(axis_part(gx, axis_a), axis_part(gx, axis_b)))
+    Ge = embed(G)
+    P1 = Ge @ cross_corr_cond(x, sigma2, eta)  # E[ stack_ri(G x_d) stack_ri(x_q)^T ]
+    gx = stack_ri(G @ x)
+    return (cov_xq_cond(x, sigma2, eta) - P1 - P1.T
+            + (sigma2 / 2.0) * Ge @ Ge.T + np.outer(gx, gx))
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +157,8 @@ def noise_stats(H: np.ndarray, x: np.ndarray, G: np.ndarray,
     """Moments of the effective noise sqrt(rho) H (G d + p_d) + z given x.
 
     Assembled term by term from the residual moments: the residual/residual
-    block, both dither/residual cross blocks, the dither passed through H G,
-    and the unit-variance receiver noise floor.
+    term, both dither/residual cross terms, the dither passed through H G
+    (per-axis variance sigma2/2), and the unit-variance receiver noise floor.
     """
     _check_sigma(sigma2)
     if rho < 0:
@@ -226,37 +166,13 @@ def noise_stats(H: np.ndarray, x: np.ndarray, G: np.ndarray,
     H = np.asarray(H)
     x = np.asarray(x, dtype=np.complex128)
     G = np.asarray(G)
-    m_rx = H.shape[0]
-    T = H @ G
+    He, Te = embed(H), embed(H @ G)
 
-    pbar = mean_pd(x, G, sigma2, eta)
-    mu = np.sqrt(rho) * stack_ri(H @ pbar)
-
-    d_pd = {(u, v): cross_dither_pd(x, G, sigma2, eta, u, v) for u in AXES for v in AXES}
-    p_pd = {(u, v): cov_pd(x, G, sigma2, eta, u, v) for u in AXES for v in AXES}
-
-    def sandwich(left, blocks, right, a, b):
-        la = _row_coef(left, a)
-        rb = _row_coef(right, b)
-        out = np.zeros((m_rx, m_rx))
-        for iu, u in enumerate(AXES):
-            for iv, v in enumerate(AXES):
-                out += la[iu] @ blocks[(u, v)] @ rb[iv].T
-        return out
-
-    def block(a, b):
-        s_pp = sandwich(H, p_pd, H, a, b)
-        s_dp = sandwich(T, d_pd, H, a, b)
-        s_pd = sandwich(T, d_pd, H, b, a).T
-        c = rho * (s_pp + s_dp + s_pd + _dither_quad(T, T, sigma2, a, b))
-        if a == b:
-            c = c + 0.5 * np.eye(m_rx)
-        return c
-
-    crr = block(RE, RE)
-    cri = block(RE, IM)
-    cii = block(IM, IM)
-    C = np.block([[crr, cri], [cri.T, cii]])
+    mu = np.sqrt(rho) * stack_ri(H @ mean_pd(x, G, sigma2, eta))
+    D = Te @ cross_dither_pd(x, G, sigma2, eta) @ He.T
+    C = (rho * (He @ cov_pd(x, G, sigma2, eta) @ He.T + D + D.T
+                + (sigma2 / 2.0) * Te @ Te.T)
+         + 0.5 * np.eye(He.shape[0]))
     return NoiseStats(mu=mu, C=C, Sigma=C - np.outer(mu, mu))
 
 
@@ -269,11 +185,14 @@ class SymbolKernel:
     """SNR-independent core of the received statistics for one candidate.
 
     Conditioned on x the quantizer output has independent entries, zero
-    cross-axis covariance, and per-axis variances (eta/2)(1 - Phi^2), so the
-    received covariance collapses to an axis sandwich of a diagonal matrix:
+    cross-axis covariance, and per-axis variances d = (eta/2)(1 - Phi^2), so
+    the received covariance is a congruence of a diagonal matrix:
 
         mu_y(rho)    = sqrt(rho) * mean_core
-        Sigma_y(rho) = rho * inner + I/2
+        Sigma_y(rho) = rho * inner + I/2,   inner = embed(H) diag(d) embed(H)^T
+
+    symbol_kernel computes inner from its three distinct (M, M) blocks in
+    real products of Re H and Im H, which is cheaper than forming embed(H).
 
     This is algebraically identical to the term-by-term route, where mu_y is
     sqrt(rho) stack_ri(H G x) plus the noise_stats mean and Sigma_y is the
@@ -292,8 +211,8 @@ def symbol_kernel(H: np.ndarray, x: np.ndarray, sigma2: float, eta: float) -> Sy
     x = np.asarray(x, dtype=np.complex128)
     mean_core = stack_ri(H @ mean_xq_cond(x, sigma2, eta))
 
-    phi_r = _phi(x, sigma2, RE)
-    phi_i = _phi(x, sigma2, IM)
+    phi = _phi(x, sigma2)
+    phi_r, phi_i = phi[:x.size], phi[x.size:]
     d_re = (eta / 2.0) * (1.0 - phi_r ** 2)
     d_im = (eta / 2.0) * (1.0 - phi_i ** 2)
     Hr, Hi = H.real, H.imag

@@ -184,3 +184,6 @@ def test_channel_params_validation():
         ChannelParams(n_rx=2, n_tx=4, n_paths=0)
     with pytest.raises(ParameterError):
         ChannelParams(n_rx=2, n_tx=4, angular_spread=-0.1)
+    for spread in (float("nan"), float("inf"), "abc", None):
+        with pytest.raises(ParameterError):
+            ChannelParams(n_rx=2, n_tx=4, angular_spread=spread)

@@ -180,6 +180,8 @@ def test_make_constellation_registry():
     assert make_constellation("single").size == 1
     with pytest.raises(ParameterError):
         make_constellation("64qam")
+    with pytest.raises(ParameterError):
+        make_constellation(5)
 
 
 def test_constellation_validates_unit_energy():

@@ -38,6 +38,21 @@ def test_config_validation_errors():
         ExperimentConfig(rho_db=(float("nan"),))
     with pytest.raises(ParameterError):
         ExperimentConfig(dither_dbm=(0.0, float("inf")))
+    # grid values whose linear form overflows or underflows to zero dither
+    with pytest.raises(ParameterError):
+        ExperimentConfig(rho_db=(4000.0,))
+    with pytest.raises(ParameterError):
+        ExperimentConfig(dither_dbm=(4000.0,))
+    with pytest.raises(ParameterError):
+        ExperimentConfig(dither_dbm=(0.0, -4000.0))
+    # -400 dBm is the well-defined dither-free limit (sigma2 = 1e-43)
+    assert ExperimentConfig(dither_dbm=(-400.0,)).sweep_points()[1][0][1] > 0
+    # channel and constellation fields
+    for spread in (float("nan"), float("inf"), "abc", -0.1):
+        with pytest.raises(ParameterError):
+            ExperimentConfig(angular_spread=spread)
+    with pytest.raises(ParameterError):
+        ExperimentConfig(constellation=5)
     # numpy integers are accepted and stored as plain ints, which the digest needs
     small = dict(n_rx=2, n_channels=1, n_symbol_vectors=10, detectors=("guess",))
     cfg = ExperimentConfig(n_tx=np.int64(8), seed=np.int64(1), **small)
@@ -137,6 +152,31 @@ def test_trials_accounting_per_stream():
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
+
+def test_seconds_include_the_per_dither_builds(monkeypatch):
+    # the kernel and combiner builds are charged to the first grid point of
+    # each dither power; a fixed delay in each build shows up there only
+    import time
+
+    from onebitlink import harness
+
+    delay = 0.05
+
+    def slow(fn):
+        def wrapped(*args, **kwargs):
+            time.sleep(delay)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(harness, "build_candidate_kernels", slow(harness.build_candidate_kernels))
+    monkeypatch.setattr(harness, "cov_xd", slow(harness.cov_xd))
+    cfg = ExperimentConfig(n_tx=8, n_rx=2, rho_db=(0.0, 10.0), dither_dbm=(2.0,),
+                           n_channels=2, n_symbol_vectors=10, detectors=("ml", "blmmse"))
+    rows = run_sweep(cfg).rows
+    first, second = rows[:2], rows[2:]
+    assert all(r.seconds >= 2 * delay for r in first)  # one build per channel
+    assert all(r.seconds < 2 * delay for r in second)
+
 
 def test_csv_text_layout(tmp_path):
     rep = run_sweep(_tiny(dither_dbm=(0.0, 10.0), detectors=("ml", "guess")))
@@ -250,11 +290,19 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert int(row[4]) == 80  # CLI --symbols overrode the file value
 
 
-def test_cli_rejects_bad_configuration():
+def test_cli_rejects_bad_configuration(tmp_path):
     assert main(["--n", "4", "--m", "2", "--k", "3"]) == 2
     assert main(["--detectors", "zf"]) == 2
     assert main(["--config", "/nonexistent/path.cfg"]) == 2
     assert main(["--n", "8", "--m", "2", "--snr-db", "nan"]) == 2
+    small = ["--n", "8", "--m", "2", "--channels", "1", "--symbols", "20"]
+    assert main(small + ["--snr-db", "4000"]) == 2
+    assert main(small + ["--dither-dbm", "4000"]) == 2
+    assert main(small + ["--dither-dbm=-4000"]) == 2
+    for line in ("angular_spread = nan", "angular_spread = abc", "constellation = 5"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(small + ["--config", str(cfg)]) == 2, line
 
 
 def test_cli_self_check_passes():

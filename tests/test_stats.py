@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from scipy.special import erf
 
 from onebitlink.core import SingularityError, chol_logdet, qam16, quantize_1bit, substream
-from onebitlink.stats import (IM, RE, assemble_stats, axis_part, cov_pd,
-                              cov_xq_cond, cross_corr_cond,
-                              cross_corr_cond_complex, cross_dither_pd,
-                              lmmse_gain, mean_pd, mean_xq_cond, noise_stats,
-                              stack_ri, symbol_kernel)
+from onebitlink.stats import (assemble_stats, cov_pd, cov_xq_cond,
+                              cross_corr_cond, cross_corr_cond_complex,
+                              cross_dither_pd, embed, lmmse_gain, mean_pd,
+                              mean_xq_cond, noise_stats, stack_ri,
+                              symbol_kernel)
 
 
 def _instance(seed, n=4, m=3, k=2, sigma2=0.3):
@@ -24,9 +26,11 @@ def _instance(seed, n=4, m=3, k=2, sigma2=0.3):
 
 def test_axis_helpers():
     z = np.array([1.0 - 2.0j, 3.0 + 4.0j])
-    assert_allclose(axis_part(z, RE), [1.0, 3.0])
-    assert_allclose(axis_part(z, IM), [-2.0, 4.0])
     assert_allclose(stack_ri(z), [1.0, 3.0, -2.0, 4.0])
+    P = np.array([[1.0 + 2.0j, -0.5j, 3.0], [0.25 - 1.0j, 2.0 + 0.5j, -1.5 + 1.0j]])
+    v = np.array([0.3 - 1.1j, 2.0 + 0.4j, -0.7 + 0.9j])
+    assert embed(P).shape == (4, 6)
+    assert_allclose(embed(P) @ stack_ri(v), stack_ri(P @ v), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -37,11 +41,12 @@ def test_scalar_cross_corr_hand_formula():
     a, b, sigma2, eta = 0.4, -0.7, 0.6, 0.2
     x = np.array([a + 1j * b])
     sig = np.sqrt(sigma2)
-    rr = cross_corr_cond(x, sigma2, eta, RE, RE)[0, 0]
+    C = cross_corr_cond(x, sigma2, eta)  # scalar x: stacked index 0 is Re, 1 is Im
+    rr = C[0, 0]
     expect = np.sqrt(eta / 2) * (a * erf(a / sig)
                                  + np.sqrt(sigma2 / np.pi) * np.exp(-a * a / sigma2))
     assert rr == pytest.approx(expect, rel=1e-14)
-    ri = cross_corr_cond(x, sigma2, eta, RE, IM)[0, 0]
+    ri = C[0, 1]
     assert ri == pytest.approx(np.sqrt(eta / 2) * a * erf(b / sig), rel=1e-14)
 
 
@@ -53,9 +58,10 @@ def test_scalar_mean_and_cov():
     assert m.real == pytest.approx(np.sqrt(eta / 2) * erf(a / sig), rel=1e-14)
     assert m.imag == pytest.approx(np.sqrt(eta / 2) * erf(b / sig), rel=1e-14)
     # constant-modulus output: matched-axis second moment is exactly eta/2
-    assert cov_xq_cond(x, sigma2, eta, RE, RE)[0, 0] == eta / 2
-    assert cov_xq_cond(x, sigma2, eta, IM, IM)[0, 0] == eta / 2
-    cross = cov_xq_cond(x, sigma2, eta, RE, IM)[0, 0]
+    C = cov_xq_cond(x, sigma2, eta)
+    assert C[0, 0] == eta / 2
+    assert C[1, 1] == eta / 2
+    cross = C[0, 1]
     assert cross == pytest.approx((eta / 2) * erf(a / sig) * erf(b / sig), rel=1e-14)
 
 
@@ -105,8 +111,9 @@ def test_mean_pd_vanishes_for_overwhelming_dither():
 def test_residual_moments_shrink_with_dither():
     # the linearization is exact in the small-dither limit on the diagonal
     H, W, s, x, sigma2, eta = _instance(4, n=3, k=1)
-    big = np.max(np.abs(cov_pd(x, lmmse_gain(x, 1.0, eta), 1.0, eta, RE, RE)))
-    small = np.max(np.abs(cov_pd(x, lmmse_gain(x, 1e-6, eta), 1e-6, eta, RE, RE)))
+    n = x.size  # the Re/Re block of the stacked residual moment
+    big = np.max(np.abs(cov_pd(x, lmmse_gain(x, 1.0, eta), 1.0, eta)[:n, :n]))
+    small = np.max(np.abs(cov_pd(x, lmmse_gain(x, 1e-6, eta), 1e-6, eta)[:n, :n]))
     assert small < big
     assert np.isfinite(small)
 
@@ -114,7 +121,7 @@ def test_residual_moments_shrink_with_dither():
 def test_cross_dither_pd_finite_at_tiny_dither():
     H, W, s, x, _, eta = _instance(5)
     for s2 in (1e-10, 1e-12):
-        M = cross_dither_pd(x, lmmse_gain(x, s2, eta), s2, eta, RE, IM)
+        M = cross_dither_pd(x, lmmse_gain(x, s2, eta), s2, eta)
         assert np.all(np.isfinite(M))
 
 
@@ -125,7 +132,7 @@ def test_sigma_zero_raises():
     with pytest.raises(SingularityError):
         lmmse_gain(x, 0.0, 1 / 3)
     with pytest.raises(SingularityError):
-        cov_xq_cond(x, 0.0, 1 / 3, RE, RE)
+        cov_xq_cond(x, 0.0, 1 / 3)
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +174,25 @@ def test_kernel_zero_snr_collapses_to_awgn():
     assert chol_logdet(Sigma).logdet == pytest.approx(2 * m * np.log(0.5), rel=1e-10)
 
 
-def test_symbol_stats_matches_kernel_route():
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 8), m=st.integers(1, 6),
+       k=st.integers(1, 3), sigma2=st.floats(0.01, 10.0), rho=st.floats(0.0, 100.0))
+@example(seed=9, n=6, m=3, k=1, sigma2=0.3, rho=0.3)
+@example(seed=9, n=6, m=3, k=1, sigma2=0.3, rho=4.0)
+@example(seed=10, n=6, m=3, k=2, sigma2=0.3, rho=0.3)
+@example(seed=10, n=6, m=3, k=2, sigma2=0.3, rho=4.0)
+@example(seed=11, n=6, m=3, k=3, sigma2=0.3, rho=0.3)
+@example(seed=11, n=6, m=3, k=3, sigma2=0.3, rho=4.0)
+def test_symbol_stats_matches_kernel_route(seed, n, m, k, sigma2, rho):
     # two independent derivations of the same Gaussian approximation: the
     # direct quantizer-moment kernel and the four-term effective-noise
     # assembly, whose signal part sqrt(rho) H G x is added back to its mean
-    for seed, k in ((9, 1), (10, 2), (11, 3)):
-        H, W, s, x, sigma2, eta = _instance(seed, n=6, m=3, k=k)
-        G = lmmse_gain(x, sigma2, eta)
-        for rho in (0.3, 4.0):
-            mu, Sigma = assemble_stats(symbol_kernel(H, x, sigma2, eta), rho)
-            ns = noise_stats(H, x, G, sigma2, eta, rho)
-            assert np.max(np.abs(mu - (np.sqrt(rho) * stack_ri(H @ G @ x) + ns.mu))) < 1e-10
-            assert np.max(np.abs(Sigma - ns.Sigma)) < 1e-10
+    H, W, s, x, sigma2, eta = _instance(seed, n=n, m=m, k=min(k, n), sigma2=sigma2)
+    G = lmmse_gain(x, sigma2, eta)
+    mu, Sigma = assemble_stats(symbol_kernel(H, x, sigma2, eta), rho)
+    ns = noise_stats(H, x, G, sigma2, eta, rho)
+    assert np.max(np.abs(mu - (np.sqrt(rho) * stack_ri(H @ G @ x) + ns.mu))) < 1e-10
+    assert np.max(np.abs(Sigma - ns.Sigma)) < 1e-10
 
 
 def test_kernel_cholesky_is_coherent():
@@ -206,11 +220,9 @@ def test_cross_corr_zero_symbol_pinned():
     n, sigma2, eta = 3, 0.4, 0.25
     x = np.zeros(n, dtype=complex)
     diag = np.sqrt(eta / 2) * np.sqrt(sigma2 / np.pi)
-    for a in (RE, IM):
-        for b in (RE, IM):
-            want = diag * np.eye(n) if a == b else np.zeros((n, n))
-            assert_allclose(cross_corr_cond(x, sigma2, eta, a, b), want,
-                            atol=1e-15)
+    # matched-axis blocks are diagonal, cross-axis blocks vanish
+    assert_allclose(cross_corr_cond(x, sigma2, eta), diag * np.eye(2 * n),
+                    atol=1e-15)
     assert_allclose(cross_corr_cond_complex(x, sigma2, eta),
                     np.sqrt(2 * eta / np.pi) * np.sqrt(sigma2) * np.eye(n),
                     atol=1e-15)
@@ -240,11 +252,8 @@ def test_mean_xq_saturation_and_bounds():
 def test_cov_xq_zero_symbol_pinned():
     n, sigma2, eta = 3, 0.7, 0.2
     x = np.zeros(n, dtype=complex)
-    for a in (RE, IM):
-        for b in (RE, IM):
-            want = (eta / 2) * np.eye(n) if a == b else np.zeros((n, n))
-            assert_allclose(cov_xq_cond(x, sigma2, eta, a, b), want,
-                            atol=1e-15)
+    assert_allclose(cov_xq_cond(x, sigma2, eta), (eta / 2) * np.eye(2 * n),
+                    atol=1e-15)
 
 
 def test_cross_dither_pd_zero_symbol_diagonal_gain():
@@ -252,20 +261,16 @@ def test_cross_dither_pd_zero_symbol_diagonal_gain():
     x = np.zeros(n, dtype=complex)
     G = g * np.eye(n, dtype=complex)
     matched = np.sqrt(eta / 2) * np.sqrt(sigma2 / np.pi) - g * sigma2 / 2
-    for a in (RE, IM):
-        for b in (RE, IM):
-            want = matched * np.eye(n) if a == b else np.zeros((n, n))
-            assert_allclose(cross_dither_pd(x, G, sigma2, eta, a, b), want,
-                            atol=1e-15)
+    assert_allclose(cross_dither_pd(x, G, sigma2, eta), matched * np.eye(2 * n),
+                    atol=1e-15)
 
 
 def test_cov_pd_axis_swap_transposes():
     H, W, s, x, sigma2, eta = _instance(61)
     G = lmmse_gain(x, sigma2, eta)
-    for a in (RE, IM):
-        for b in (RE, IM):
-            assert_allclose(cov_pd(x, G, sigma2, eta, a, b),
-                            cov_pd(x, G, sigma2, eta, b, a).T, atol=1e-13)
+    # swapping the axes of a block transposes it: the stacked moment is symmetric
+    C = cov_pd(x, G, sigma2, eta)
+    assert_allclose(C, C.T, atol=1e-13)
 
 
 def test_noise_mean_vanishes_at_zero_symbol():
