@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .channel import ChannelParams, draw_channel, make_precoder
 from .core import ParameterError, make_constellation, quantize_1bit, substream
-from .detect import (build_candidate_kernels, build_candidate_table,
+from .detect import (MAX_TABLE, build_candidate_kernels, build_candidate_table,
                      ml_detect_batch, slice_min_distance_batch, blmmse_combiner)
 from .txchain import bussgang_gain, cov_xd, cov_xq_unconditional
 
@@ -89,7 +89,11 @@ class ExperimentConfig:
                 raise ParameterError(f"unknown detector {d!r}; choose from {KNOWN_DETECTORS}")
         if len(set(self.detectors)) != len(self.detectors):
             raise ParameterError("detectors must not repeat")
-        make_constellation(self.constellation)  # raises on unknown name
+        const = make_constellation(self.constellation)  # raises on unknown name
+        if "ml" in self.detectors and const.size ** self.n_streams > MAX_TABLE:
+            raise ParameterError(
+                f"ml needs a candidate table of {const.size ** self.n_streams} > "
+                f"{MAX_TABLE} entries ({self.constellation}, {self.n_streams} streams)")
         ChannelParams(n_rx=self.n_rx, n_tx=self.n_tx, n_paths=self.n_paths,
                       angular_spread=self.angular_spread)  # raises on a bad spread
         try:
@@ -260,7 +264,11 @@ _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def parse_grid(raw: str):
-    """Parse 'a,b,c' lists and 'start:step:stop' inclusive grids."""
+    """Parse 'a,b,c' lists and 'start:step:stop' inclusive grids.
+
+    A grid steps from start and never past stop; stop itself is included
+    when it lies within rounding (1e-9 of a step) of a grid point.
+    """
     raw = raw.strip()
     if ":" in raw:
         parts = [p.strip() for p in raw.split(":")]
@@ -269,8 +277,10 @@ def parse_grid(raw: str):
         start, step, stop = (float(p) for p in parts)
         if step <= 0:
             raise ParameterError("grid step must be positive")
-        n = int(np.floor((stop - start) / step + 0.5)) + 1
-        return [start + i * step for i in range(max(n, 1))]
+        if stop < start:
+            raise ParameterError(f"grid stop {stop:g} lies below its start {start:g}")
+        n = int(np.floor((stop - start) / step + 1e-9)) + 1
+        return [start + i * step for i in range(n)]
     if "," in raw:
         return [_scalar(tok) for tok in raw.split(",") if tok.strip()]
     return [_scalar(raw)]

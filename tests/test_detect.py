@@ -3,14 +3,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from onebitlink.core import ParameterError, make_constellation, qam16, qpsk, quantize_1bit, substream
 from onebitlink.detect import (CandidateTable, build_candidate_kernels,
                                build_candidate_table, blmmse_combiner,
                                enumerate_candidates, ml_detect,
-                               ml_detect_batch, slice_min_distance,
-                               slice_min_distance_batch)
+                               ml_detect_batch, ml_detect_exhaustive,
+                               slice_min_distance, slice_min_distance_batch)
 from onebitlink.oracle import mc_gaussian_loglike
 from onebitlink.txchain import bussgang_gain, cov_xd, cov_xq_unconditional
 
@@ -92,6 +94,7 @@ def test_ml_prefers_own_mean_and_breaks_ties_low():
                          mu=np.repeat(base.mu[:1], 2, axis=0),
                          chol=np.repeat(base.chol[:1], 2, axis=0),
                          logdet=np.repeat(base.logdet[:1], 2),
+                         norm=np.repeat(base.norm[:1], 2),
                          rho=base.rho)
     Y = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
     got, _ = ml_detect_batch(Y, dup)
@@ -101,6 +104,7 @@ def test_ml_prefers_own_mean_and_breaks_ties_low():
                             mu=base.mu,
                             chol=np.repeat(base.chol[:1], 4, axis=0),
                             logdet=np.repeat(base.logdet[:1], 4),
+                            norm=np.repeat(base.norm[:1], 4),
                             rho=base.rho)
     m = H.shape[0]
     for c in range(4):
@@ -114,9 +118,61 @@ def test_ml_rejects_empty_table():
     base = build_candidate_table(H, W, qpsk(), 0.1, 1.0 / 6, 2.0)
     empty = CandidateTable(indices=base.indices[:0], symbols=base.symbols[:0],
                            mu=base.mu[:0], chol=base.chol[:0],
-                           logdet=base.logdet[:0], rho=base.rho)
+                           logdet=base.logdet[:0], norm=base.norm[:0],
+                           rho=base.rho)
     with pytest.raises(ParameterError):
         ml_detect(np.zeros(2, dtype=complex), empty)
+    with pytest.raises(ParameterError):
+        ml_detect_exhaustive(np.zeros((1, 2), dtype=complex), empty)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 8), m=st.integers(1, 6),
+       k=st.integers(1, 3), sigma2=st.floats(0.01, 10.0),
+       rho=st.one_of(st.just(0.0), st.just(1e4), st.floats(0.0, 1e4)),
+       const=st.sampled_from(["qpsk", "16qam"]),
+       draw=st.sampled_from(["model", "random", "means", "duplicates"]))
+@example(seed=1, n=6, m=3, k=2, sigma2=0.1, rho=0.0, const="qpsk", draw="random")
+@example(seed=2, n=6, m=3, k=1, sigma2=0.1, rho=1e4, const="16qam", draw="means")
+@example(seed=3, n=6, m=4, k=2, sigma2=0.1, rho=3.0, const="qpsk", draw="duplicates")
+@example(seed=4, n=8, m=6, k=3, sigma2=0.01, rho=1e4, const="qpsk", draw="model")
+def test_pruned_ml_equals_exhaustive(seed, n, m, k, sigma2, rho, const, draw):
+    k = min(k, n, m)
+    if const == "16qam":
+        k = min(k, 2)
+    constellation = make_constellation(const)
+    H, W, rng = _system(seed, n=n, m=m, k=k)
+    eta = 1.0 / n
+    table = build_candidate_table(H, W, constellation, sigma2, eta, rho)
+    assert_allclose(table.norm, [np.linalg.norm(L @ L.T, np.inf) for L in table.chol],
+                    rtol=1e-12)
+    nv = 64
+    if draw == "random":
+        Y = np.sqrt(1.0 + rho) * (rng.standard_normal((nv, m))
+                                  + 1j * rng.standard_normal((nv, m)))
+    elif draw == "means":
+        picked = table.mu[rng.integers(0, table.n_candidates, nv)]
+        Y = picked[:, :m] + 1j * picked[:, m:]
+    else:
+        if draw == "duplicates":
+            # every candidate at two or more table positions, shuffled
+            pos = rng.permutation(np.r_[np.arange(table.n_candidates),
+                                        rng.integers(0, table.n_candidates, table.n_candidates)])
+            table = CandidateTable(indices=table.indices[pos], symbols=table.symbols[pos],
+                                   mu=table.mu[pos], chol=table.chol[pos],
+                                   logdet=table.logdet[pos], norm=table.norm[pos],
+                                   rho=table.rho)
+        S = table.symbols[rng.integers(0, table.n_candidates, nv)]
+        D = (rng.standard_normal((nv, n)) + 1j * rng.standard_normal((nv, n))) * np.sqrt(sigma2 / 2)
+        Z = (rng.standard_normal((nv, m)) + 1j * rng.standard_normal((nv, m))) / np.sqrt(2)
+        Y = np.sqrt(rho) * quantize_1bit(S @ W.T + D, eta) @ H.T + Z
+    got, got_score = ml_detect_batch(Y, table)
+    want, want_score = ml_detect_exhaustive(Y, table)
+    assert np.array_equal(got, want)
+    assert_allclose(got_score, want_score, rtol=1e-12)
+    if rho == 0.0:
+        # mu = 0 and Sigma = I/2 for every candidate: all scores tie
+        assert np.all(got == table.indices[0])
 
 
 def test_kernel_cache_reproduces_direct_table():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 import onebitlink
 from onebitlink.cli import main
@@ -53,6 +56,11 @@ def test_config_validation_errors():
             ExperimentConfig(angular_spread=spread)
     with pytest.raises(ParameterError):
         ExperimentConfig(constellation=5)
+    # ml needs 16^5 = 1048576 candidates, above the table cap; other detectors do not
+    oversized = dict(n_tx=8, n_rx=6, n_streams=5, n_channels=1, n_symbol_vectors=10)
+    with pytest.raises(ParameterError):
+        ExperimentConfig(detectors=("ml",), **oversized)
+    ExperimentConfig(detectors=("blmmse",), **oversized)
     # numpy integers are accepted and stored as plain ints, which the digest needs
     small = dict(n_rx=2, n_channels=1, n_symbol_vectors=10, detectors=("guess",))
     cfg = ExperimentConfig(n_tx=np.int64(8), seed=np.int64(1), **small)
@@ -222,10 +230,32 @@ def test_parse_grid_forms():
     assert parse_grid("1,2.5,4") == [1, 2.5, 4]
     assert parse_grid("0:10:40") == [0.0, 10.0, 20.0, 30.0, 40.0]
     assert parse_grid("-10:5:-5") == [-10.0, -5.0]
+    assert parse_grid("3:1:3") == [3.0]
+    # never past stop, but stop within rounding of a grid point is included
+    assert parse_grid("0:0.4:1") == [0.0, 0.4, 0.8]
+    assert len(parse_grid("0:0.1:0.3")) == 4
     with pytest.raises(ParameterError):
         parse_grid("0:10")
     with pytest.raises(ParameterError):
         parse_grid("0:-1:10")
+    with pytest.raises(ParameterError):
+        parse_grid("10:1:0")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(start=st.floats(-100.0, 100.0), step=st.floats(0.01, 50.0),
+       span=st.floats(0.0, 500.0))
+@example(start=0.0, step=0.4, span=1.0)
+@example(start=0.0, step=0.1, span=0.3)
+@example(start=-10.0, step=10.0, span=40.0)
+def test_parse_grid_steps_from_start_to_stop(start, step, span):
+    stop = start + span
+    grid = parse_grid(f"{start!r}:{step!r}:{stop!r}")
+    tol = 1e-9 * step
+    assert grid[0] == start
+    assert grid[-1] <= stop + tol
+    assert stop - grid[-1] < step
+    assert_allclose(np.diff(grid), step, rtol=0, atol=tol)
 
 
 def test_parse_config_file(tmp_path):
@@ -299,6 +329,8 @@ def test_cli_rejects_bad_configuration(tmp_path):
     assert main(small + ["--snr-db", "4000"]) == 2
     assert main(small + ["--dither-dbm", "4000"]) == 2
     assert main(small + ["--dither-dbm=-4000"]) == 2
+    assert main(["--n", "8", "--m", "6", "--k", "5", "--channels", "1",
+                 "--symbols", "10", "--detectors", "ml"]) == 2
     for line in ("angular_spread = nan", "angular_spread = abc", "constellation = 5"):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
