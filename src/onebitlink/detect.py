@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 from .core import Constellation, ParameterError, chol_logdet
-from .stats import assemble_stats, symbol_kernel
+from .stats import assemble_stats, stack_ri, symbol_kernel
 from .txchain import cov_y_unconditional
 
 MAX_TABLE = 10 ** 6
@@ -46,7 +46,6 @@ class CandidateTable:
     """Cached per-candidate receive statistics for one channel realization."""
 
     indices: np.ndarray   # (L^K, K) per-stream constellation indices
-    symbols: np.ndarray   # (L^K, K) candidate symbol vectors
     mu: np.ndarray        # (L^K, 2M) stacked means
     chol: np.ndarray      # (L^K, 2M, 2M) lower Cholesky factors
     logdet: np.ndarray    # (L^K,)
@@ -58,8 +57,8 @@ class CandidateTable:
         return self.indices.shape[0]
 
 
-def enumerate_candidates(constellation: Constellation, n_streams: int,
-                         max_candidates: int = MAX_TABLE) -> tuple[np.ndarray, np.ndarray]:
+def enumerate_candidates(constellation: Constellation,
+                         n_streams: int) -> tuple[np.ndarray, np.ndarray]:
     """All symbol vectors in constellation^n_streams, stream 0 most significant.
 
     The candidate at table position i carries the mixed-radix digits of i, so
@@ -67,9 +66,9 @@ def enumerate_candidates(constellation: Constellation, n_streams: int,
     """
     size = constellation.size
     total = size ** n_streams
-    if total > max_candidates:
+    if total > MAX_TABLE:
         raise ParameterError(
-            f"candidate table would hold {total} > {max_candidates} entries; "
+            f"candidate table would hold {total} > {MAX_TABLE} entries; "
             "refusing to enumerate"
         )
     digits = np.stack(
@@ -80,52 +79,50 @@ def enumerate_candidates(constellation: Constellation, n_streams: int,
 
 def build_candidate_kernels(H, W, constellation: Constellation, sigma2: float,
                             eta: float):
-    """SNR-independent per-candidate kernels (reusable across an SNR sweep)."""
-    H = np.asarray(H)
+    """(indices, kernel): SNR-independent kernel stack of every candidate.
+
+    Reusable across an SNR sweep; the kernel's leading axis follows the
+    candidate order of `enumerate_candidates`.
+    """
     W = np.asarray(W)
     digits, symbols = enumerate_candidates(constellation, W.shape[1])
-    X = symbols @ W.T
-    kernels = [symbol_kernel(H, x, sigma2, eta) for x in X]
-    return digits, symbols, kernels
+    return digits, symbol_kernel(H, symbols @ W.T, sigma2, eta)
 
 
-def build_candidate_table(H, W, constellation: Constellation, sigma2: float,
-                          eta: float, rho: float,
-                          kernels=None) -> CandidateTable:
-    """Assemble the cached detector statistics for one (channel, dither, SNR)."""
-    if kernels is None:
-        digits, symbols, kers = build_candidate_kernels(H, W, constellation, sigma2, eta)
-    else:
-        digits, symbols, kers = kernels
-    n = digits.shape[0]
-    dim = kers[0].inner.shape[0]
-    mu = np.empty((n, dim))
-    chol = np.empty((n, dim, dim))
-    logdet = np.empty(n)
-    norm = np.empty(n)
-    for i, ker in enumerate(kers):
-        m, Sigma = assemble_stats(ker, rho)
+def build_candidate_table(kernels, rho: float) -> CandidateTable:
+    """Cached detector statistics at transmit SNR rho from `build_candidate_kernels`.
+
+    Each candidate's Cholesky factor overwrites its covariance in the stack.
+    """
+    digits, kernel = kernels
+    mu, chol = assemble_stats(kernel, rho)
+    logdet = np.empty(digits.shape[0])
+    norm = np.empty(digits.shape[0])
+    for i, Sigma in enumerate(chol):
+        norm[i] = np.linalg.norm(Sigma, np.inf)
         fac = chol_logdet(Sigma)
-        mu[i] = m
         chol[i] = fac.factor
         logdet[i] = fac.logdet
-        norm[i] = np.linalg.norm(Sigma, np.inf)
-    return CandidateTable(indices=digits, symbols=symbols, mu=mu,
-                          chol=chol, logdet=logdet, norm=norm, rho=rho)
+    return CandidateTable(indices=digits, mu=mu, chol=chol, logdet=logdet,
+                          norm=norm, rho=rho)
 
 
 def _stacked_rows(Y: np.ndarray, table: CandidateTable) -> np.ndarray:
     """Received vectors (n, M) complex -> stacked-real rows (n, 2M)."""
     if table.n_candidates == 0:
         raise ParameterError("candidate table is empty")
-    Y = np.atleast_2d(np.asarray(Y))
-    return np.concatenate([Y.real, Y.imag], axis=1)
+    return stack_ri(np.atleast_2d(np.asarray(Y)))
 
 
 def _score(Yp: np.ndarray, table: CandidateTable, c: int) -> np.ndarray:
     """Exact objective of candidate c for each stacked-real row of Yp."""
     r = Yp - table.mu[c]
-    u = solve_triangular(table.chol[c], r.T, lower=True, check_finite=False)
+    # L u = r as the transposed solve with the upper factor L^T: the call
+    # scipy's solve_triangular makes for a C-ordered L, without its per-call
+    # overhead. dtrtrs(L, lower=1) rounds differently on one right-hand side.
+    u, info = lapack.dtrtrs(table.chol[c].T, r.T, lower=0, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed, LAPACK info {info}")
     return np.einsum("ij,ij->j", u, u) + table.logdet[c]
 
 

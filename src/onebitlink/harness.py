@@ -197,8 +197,7 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
         for det in cfg.detectors:
             t0 = time.perf_counter()
             if det == "ml":
-                table = build_candidate_table(H, W, const, sigma2, eta, rho,
-                                              kernels=kernel_cache[sigma2])
+                table = build_candidate_table(kernel_cache[sigma2], rho)
                 decided = ml_detect_batch(Y, table)[0]
             elif det == "blmmse":
                 B, C_xq = combiner_cache[sigma2]

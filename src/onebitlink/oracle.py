@@ -86,10 +86,6 @@ class _OuterAcc:
         return OracleEstimate(mean, np.sqrt(var / self.n), self.n)
 
 
-def _stack_rows(Z):
-    return np.concatenate([Z.real, Z.imag], axis=1)
-
-
 def _chunks(draws, chunk):
     done = 0
     while done < draws:
@@ -126,34 +122,34 @@ def _run_conditional(x, H, G, cfg: TxConfig, rho, draws, rng, kinds, chunk):
         d = (rng.standard_normal((step, n)) + 1j * rng.standard_normal((step, n))) * (sig / np.sqrt(2))
         xd = x[None, :] + d
         xq = quantize_1bit(xd, cfg.eta)
-        xq_s = _stack_rows(xq)
+        xq_s = stack_ri(xq)
         if "mean_xq" in acc:
             acc["mean_xq"].add(xq_s)
         if "cross_xd_xq" in acc:
-            acc["cross_xd_xq"].add(_stack_rows(xd), xq_s)
+            acc["cross_xd_xq"].add(stack_ri(xd), xq_s)
         if "cov_xq" in acc:
             acc["cov_xq"].add(xq_s, xq_s)
         if need_pd:
             pd = xq - xd @ np.asarray(G).T
-            pd_s = _stack_rows(pd)
+            pd_s = stack_ri(pd)
             if "mean_pd" in acc:
                 acc["mean_pd"].add(pd_s)
             if "cross_d_pd" in acc:
-                acc["cross_d_pd"].add(_stack_rows(d), pd_s)
+                acc["cross_d_pd"].add(stack_ri(d), pd_s)
             if "cov_pd" in acc:
                 acc["cov_pd"].add(pd_s, pd_s)
         if need_rx:
             z = (rng.standard_normal((step, m)) + 1j * rng.standard_normal((step, m))) / np.sqrt(2)
             if kinds & {"noise_mean", "noise_cov"}:
                 noise = np.sqrt(rho) * (d @ T.T + pd @ np.asarray(H).T) + z
-                ns = _stack_rows(noise)
+                ns = stack_ri(noise)
                 if "noise_mean" in acc:
                     acc["noise_mean"].add(ns)
                 if "noise_cov" in acc:
                     acc["noise_cov"].add(ns, ns)
             if kinds & {"y_mean", "y_cov"}:
                 y = np.sqrt(rho) * xq @ np.asarray(H).T + z
-                ys = _stack_rows(y)
+                ys = stack_ri(y)
                 if "y_mean" in acc:
                     acc["y_mean"].add(ys)
                 if "y_cov" in acc:
@@ -183,7 +179,7 @@ def _run_gauss(W, H, cfg: TxConfig, rho, draws, rng, kinds, chunk):
         d = (rng.standard_normal((step, n)) + 1j * rng.standard_normal((step, n))) * (sig / np.sqrt(2))
         xd = s @ W.T + d
         xq = quantize_1bit(xd, cfg.eta)
-        xd_s, xq_s = _stack_rows(xd), _stack_rows(xq)
+        xd_s, xq_s = stack_ri(xd), stack_ri(xq)
         if "cov_xd_gauss" in acc:
             acc["cov_xd_gauss"].add(xd_s, xd_s)
         if "cross_xd_xq_gauss" in acc:
@@ -192,11 +188,11 @@ def _run_gauss(W, H, cfg: TxConfig, rho, draws, rng, kinds, chunk):
             acc["cov_xq_gauss"].add(xq_s, xq_s)
         if "cross_qd_xd_gauss" in acc:
             qd = xq - xd @ B.T
-            acc["cross_qd_xd_gauss"].add(_stack_rows(qd), xd_s)
+            acc["cross_qd_xd_gauss"].add(stack_ri(qd), xd_s)
         if "cov_y_gauss" in acc:
             z = (rng.standard_normal((step, m)) + 1j * rng.standard_normal((step, m))) / np.sqrt(2)
             y = np.sqrt(rho) * xq @ np.asarray(H).T + z
-            ys = _stack_rows(y)
+            ys = stack_ri(y)
             acc["cov_y_gauss"].add(ys, ys)
 
     return {k: a.estimate() for k, a in acc.items()}

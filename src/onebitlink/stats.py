@@ -8,8 +8,9 @@ and assembles them into the mean and covariance of the stacked real received
 vector that the exact-statistics detector consumes.
 
 Stacked-real convention: real parts first. A complex length-n vector v maps
-to the real length-2n vector stack_ri(v) = [Re v; Im v], a complex matrix P
-to embed(P) = [[Re P, -Im P], [Im P, Re P]], so that
+to the real length-2n vector stack_ri(v) = [Re v; Im v] (a batch of vectors
+stacks along its last axis), a complex matrix P to
+embed(P) = [[Re P, -Im P], [Im P, Re P]], so that
 stack_ri(P v) = embed(P) stack_ri(v). Every second moment E[a b^T] is the
 full (2n, 2n) real matrix of the stacked vectors, holding all four
 quadrature blocks.
@@ -26,9 +27,9 @@ from .core import ParameterError, SingularityError
 
 
 def stack_ri(v) -> np.ndarray:
-    """Stack a complex vector into [Re v; Im v]."""
+    """Stack complex vectors into [Re v, Im v] along the last axis."""
     v = np.asarray(v)
-    return np.concatenate([v.real, v.imag])
+    return np.concatenate([v.real, v.imag], axis=-1)
 
 
 def embed(P) -> np.ndarray:
@@ -182,7 +183,7 @@ def noise_stats(H: np.ndarray, x: np.ndarray, G: np.ndarray,
 
 @dataclass(frozen=True)
 class SymbolKernel:
-    """SNR-independent core of the received statistics for one candidate.
+    """SNR-independent core of the received statistics, one per candidate.
 
     Conditioned on x the quantizer output has independent entries, zero
     cross-axis covariance, and per-axis variances d = (eta/2)(1 - Phi^2), so
@@ -191,8 +192,10 @@ class SymbolKernel:
         mu_y(rho)    = sqrt(rho) * mean_core
         Sigma_y(rho) = rho * inner + I/2,   inner = embed(H) diag(d) embed(H)^T
 
-    symbol_kernel computes inner from its three distinct (M, M) blocks in
-    real products of Re H and Im H, which is cheaper than forming embed(H).
+    The fields stack over the leading axes of x. With He = embed(H), the
+    inner matrices of all candidates come from one GEMM of the stacked d
+    against the row-wise Khatri-Rao product He[i, :] * He[j, :], of shape
+    (4M^2, 2N).
 
     This is algebraically identical to the term-by-term route, where mu_y is
     sqrt(rho) stack_ri(H G x) plus the noise_stats mean and Sigma_y is the
@@ -201,34 +204,32 @@ class SymbolKernel:
     affordable.
     """
 
-    mean_core: np.ndarray  # (2M,)
-    inner: np.ndarray      # (2M, 2M)
+    mean_core: np.ndarray  # (..., 2M)
+    inner: np.ndarray      # (..., 2M, 2M)
 
 
 def symbol_kernel(H: np.ndarray, x: np.ndarray, sigma2: float, eta: float) -> SymbolKernel:
+    """Kernel of the precoded vector x, shape (N,), or of each row of x, shape (L, N)."""
     _check_sigma(sigma2)
-    H = np.asarray(H)
-    x = np.asarray(x, dtype=np.complex128)
-    mean_core = stack_ri(H @ mean_xq_cond(x, sigma2, eta))
-
-    phi = _phi(x, sigma2)
-    phi_r, phi_i = phi[:x.size], phi[x.size:]
-    d_re = (eta / 2.0) * (1.0 - phi_r ** 2)
-    d_im = (eta / 2.0) * (1.0 - phi_i ** 2)
-    Hr, Hi = H.real, H.imag
-    HrDr, HiDi = Hr * d_re, Hi * d_im
-    HiDr, HrDi = Hi * d_re, Hr * d_im
-    srr = HrDr @ Hr.T + HiDi @ Hi.T
-    sri = HrDr @ Hi.T - HiDi @ Hr.T
-    sii = HiDr @ Hi.T + HrDi @ Hr.T
-    inner = np.block([[srr, sri], [sri.T, sii]])
+    He = embed(H)
+    phi = _phi(np.asarray(x, dtype=np.complex128), sigma2)
+    mean_core = np.sqrt(eta / 2.0) * phi @ He.T
+    d = (eta / 2.0) * (1.0 - phi * phi)
+    kr = (He[:, None, :] * He[None, :, :]).reshape(-1, He.shape[1])
+    inner = (d @ kr.T).reshape(d.shape[:-1] + (He.shape[0],) * 2)
     return SymbolKernel(mean_core=mean_core, inner=inner)
 
 
 def assemble_stats(kernel: SymbolKernel, rho: float):
-    """Mean and covariance of the stacked received vector at transmit SNR rho."""
+    """Mean and covariance of the stacked received vector at transmit SNR rho.
+
+    Broadcasts over the kernel's leading axes; I/2 is added in place on the
+    diagonal, so no identity-sized temporary is formed.
+    """
     if rho < 0:
         raise ParameterError("transmit SNR must be non-negative")
     mu = np.sqrt(rho) * kernel.mean_core
-    Sigma = rho * kernel.inner + 0.5 * np.eye(kernel.inner.shape[0])
+    Sigma = rho * kernel.inner
+    diag = np.arange(Sigma.shape[-1])
+    Sigma[..., diag, diag] += 0.5
     return mu, Sigma

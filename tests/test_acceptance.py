@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from onebitlink.core import qam16, qpsk, substream
-from onebitlink.detect import build_candidate_table, ml_detect_batch
+from onebitlink.detect import build_candidate_kernels, build_candidate_table, ml_detect_batch
 from onebitlink.harness import (ExperimentConfig, csv_equal_ignoring_timing,
                                 run_sweep, to_csv_text, write_csv)
 from onebitlink.oracle import (default_instances, mc_gaussian_loglike,
@@ -66,7 +66,8 @@ def test_criterion_3_ml_matches_dense_oracle():
         W = np.linalg.qr(rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1)))[0]
         H = (rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))) / np.sqrt(2)
         sigma2, eta, rho = 0.1, 1.0 / 6, 2.0
-        table = build_candidate_table(H, W, const, sigma2, eta, rho)
+        table = build_candidate_table(
+            build_candidate_kernels(H, W, const, sigma2, eta), rho)
         Y = rng.standard_normal((100, 2)) + 1j * rng.standard_normal((100, 2))
         got = ml_detect_batch(Y, table)[0][:, 0]
         # independent dense-inverse path, rebuilt without the cached factors

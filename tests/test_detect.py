@@ -14,6 +14,7 @@ from onebitlink.detect import (CandidateTable, build_candidate_kernels,
                                ml_detect_batch, ml_detect_exhaustive,
                                slice_min_distance, slice_min_distance_batch)
 from onebitlink.oracle import mc_gaussian_loglike
+from onebitlink.stats import lmmse_gain, noise_stats, stack_ri
 from onebitlink.txchain import bussgang_gain, cov_xd, cov_xq_unconditional
 
 
@@ -22,6 +23,11 @@ def _system(seed, n=6, m=2, k=1):
     W = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
     H = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
     return H, W, rng
+
+
+def _table(H, W, constellation, sigma2, eta, rho):
+    return build_candidate_table(
+        build_candidate_kernels(H, W, constellation, sigma2, eta), rho)
 
 
 def test_enumerate_candidates_order_and_cover():
@@ -36,14 +42,15 @@ def test_enumerate_candidates_order_and_cover():
 
 
 def test_enumerate_refuses_oversized_table():
+    # 16^5 > MAX_TABLE: refused before anything is allocated
     with pytest.raises(ParameterError):
-        enumerate_candidates(qam16(), 3, max_candidates=1000)
+        enumerate_candidates(qam16(), 5)
 
 
 def test_ml_matches_dense_inverse_oracle():
     H, W, rng = _system(1, n=6, m=2, k=1)
     sigma2, eta, rho = 0.05, 1.0 / 6, 3.0
-    table = build_candidate_table(H, W, qpsk(), sigma2, eta, rho)
+    table = _table(H, W, qpsk(), sigma2, eta, rho)
     Y = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
     got, scores = ml_detect_batch(Y, table)
     Yp = np.concatenate([Y.real, Y.imag], axis=1)
@@ -58,7 +65,7 @@ def test_ml_matches_dense_inverse_oracle():
 
 def test_ml_single_vector_agrees_with_batch():
     H, W, rng = _system(2)
-    table = build_candidate_table(H, W, qpsk(), 0.1, 1.0 / 6, 2.0)
+    table = _table(H, W, qpsk(), 0.1, 1.0 / 6, 2.0)
     y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     res = ml_detect(y, table)
     idx, score = ml_detect_batch(y[None, :], table)
@@ -69,7 +76,7 @@ def test_ml_single_vector_agrees_with_batch():
 
 def test_ml_invariant_to_constant_logdet_shift():
     H, W, rng = _system(3)
-    table = build_candidate_table(H, W, qam16(), 0.08, 1.0 / 6, 4.0)
+    table = _table(H, W, qam16(), 0.08, 1.0 / 6, 4.0)
     Y = rng.standard_normal((300, 2)) + 1j * rng.standard_normal((300, 2))
     shifted = dataclasses.replace(table, logdet=table.logdet + 7.0)
     a, _ = ml_detect_batch(Y, table)
@@ -79,7 +86,7 @@ def test_ml_invariant_to_constant_logdet_shift():
 
 def test_ml_degenerate_single_candidate():
     H, W, rng = _system(4)
-    table = build_candidate_table(H, W, make_constellation("single"), 0.1, 1.0 / 6, 1.0)
+    table = _table(H, W, make_constellation("single"), 0.1, 1.0 / 6, 1.0)
     res = ml_detect(rng.standard_normal(2) + 1j * rng.standard_normal(2), table)
     assert np.array_equal(res.indices, [0])
     assert np.isfinite(res.score)
@@ -87,10 +94,9 @@ def test_ml_degenerate_single_candidate():
 
 def test_ml_prefers_own_mean_and_breaks_ties_low():
     H, W, rng = _system(5)
-    base = build_candidate_table(H, W, qpsk(), 0.1, 1.0 / 6, 2.0)
+    base = _table(H, W, qpsk(), 0.1, 1.0 / 6, 2.0)
     # two candidates with identical statistics: position 0 must win
     dup = CandidateTable(indices=np.array([[0], [1]]),
-                         symbols=base.symbols[:2],
                          mu=np.repeat(base.mu[:1], 2, axis=0),
                          chol=np.repeat(base.chol[:1], 2, axis=0),
                          logdet=np.repeat(base.logdet[:1], 2),
@@ -100,8 +106,7 @@ def test_ml_prefers_own_mean_and_breaks_ties_low():
     got, _ = ml_detect_batch(Y, dup)
     assert np.all(got == 0)
     # y placed exactly at candidate c's mean, shared covariance -> c wins
-    shared = CandidateTable(indices=base.indices, symbols=base.symbols,
-                            mu=base.mu,
+    shared = CandidateTable(indices=base.indices, mu=base.mu,
                             chol=np.repeat(base.chol[:1], 4, axis=0),
                             logdet=np.repeat(base.logdet[:1], 4),
                             norm=np.repeat(base.norm[:1], 4),
@@ -115,9 +120,8 @@ def test_ml_prefers_own_mean_and_breaks_ties_low():
 
 def test_ml_rejects_empty_table():
     H, W, rng = _system(6)
-    base = build_candidate_table(H, W, qpsk(), 0.1, 1.0 / 6, 2.0)
-    empty = CandidateTable(indices=base.indices[:0], symbols=base.symbols[:0],
-                           mu=base.mu[:0], chol=base.chol[:0],
+    base = _table(H, W, qpsk(), 0.1, 1.0 / 6, 2.0)
+    empty = CandidateTable(indices=base.indices[:0], mu=base.mu[:0], chol=base.chol[:0],
                            logdet=base.logdet[:0], norm=base.norm[:0],
                            rho=base.rho)
     with pytest.raises(ParameterError):
@@ -143,7 +147,7 @@ def test_pruned_ml_equals_exhaustive(seed, n, m, k, sigma2, rho, const, draw):
     constellation = make_constellation(const)
     H, W, rng = _system(seed, n=n, m=m, k=k)
     eta = 1.0 / n
-    table = build_candidate_table(H, W, constellation, sigma2, eta, rho)
+    table = _table(H, W, constellation, sigma2, eta, rho)
     assert_allclose(table.norm, [np.linalg.norm(L @ L.T, np.inf) for L in table.chol],
                     rtol=1e-12)
     nv = 64
@@ -158,11 +162,11 @@ def test_pruned_ml_equals_exhaustive(seed, n, m, k, sigma2, rho, const, draw):
             # every candidate at two or more table positions, shuffled
             pos = rng.permutation(np.r_[np.arange(table.n_candidates),
                                         rng.integers(0, table.n_candidates, table.n_candidates)])
-            table = CandidateTable(indices=table.indices[pos], symbols=table.symbols[pos],
-                                   mu=table.mu[pos], chol=table.chol[pos],
+            table = CandidateTable(indices=table.indices[pos], mu=table.mu[pos],
+                                   chol=table.chol[pos],
                                    logdet=table.logdet[pos], norm=table.norm[pos],
                                    rho=table.rho)
-        S = table.symbols[rng.integers(0, table.n_candidates, nv)]
+        S = constellation.points[table.indices[rng.integers(0, table.n_candidates, nv)]]
         D = (rng.standard_normal((nv, n)) + 1j * rng.standard_normal((nv, n))) * np.sqrt(sigma2 / 2)
         Z = (rng.standard_normal((nv, m)) + 1j * rng.standard_normal((nv, m))) / np.sqrt(2)
         Y = np.sqrt(rho) * quantize_1bit(S @ W.T + D, eta) @ H.T + Z
@@ -175,15 +179,25 @@ def test_pruned_ml_equals_exhaustive(seed, n, m, k, sigma2, rho, const, draw):
         assert np.all(got == table.indices[0])
 
 
-def test_kernel_cache_reproduces_direct_table():
-    H, W, rng = _system(7, k=2)
-    kernels = build_candidate_kernels(H, W, qpsk(), 0.2, 1.0 / 6)
-    for rho in (0.5, 5.0):
-        via_cache = build_candidate_table(H, W, qpsk(), 0.2, 1.0 / 6, rho, kernels=kernels)
-        direct = build_candidate_table(H, W, qpsk(), 0.2, 1.0 / 6, rho)
-        assert_allclose(via_cache.mu, direct.mu, atol=1e-13)
-        assert_allclose(via_cache.chol, direct.chol, atol=1e-13)
-        assert_allclose(via_cache.logdet, direct.logdet, atol=1e-12)
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 8), m=st.integers(1, 6),
+       k=st.integers(1, 3), sigma2=st.floats(0.01, 10.0), rho=st.floats(0.0, 100.0))
+@example(seed=7, n=6, m=2, k=2, sigma2=0.2, rho=5.0)
+@example(seed=8, n=8, m=6, k=3, sigma2=0.01, rho=100.0)
+def test_stacked_table_matches_term_by_term_route(seed, n, m, k, sigma2, rho):
+    # every candidate of the batched build against the per-candidate
+    # effective-noise assembly, with the signal part sqrt(rho) H G x added back
+    H, W, _ = _system(seed, n=n, m=m, k=min(k, n))
+    eta = 1.0 / n
+    constellation = qpsk()
+    table = _table(H, W, constellation, sigma2, eta, rho)
+    X = constellation.points[table.indices] @ W.T
+    for c, x in enumerate(X):
+        G = lmmse_gain(x, sigma2, eta)
+        ns = noise_stats(H, x, G, sigma2, eta, rho)
+        L = table.chol[c]
+        assert np.max(np.abs(table.mu[c] - (np.sqrt(rho) * stack_ri(H @ G @ x) + ns.mu))) < 1e-10
+        assert np.max(np.abs(L @ L.T - ns.Sigma)) < 1e-10
 
 
 def test_per_vector_cost_flat_in_antenna_count():
@@ -193,7 +207,7 @@ def test_per_vector_cost_flat_in_antenna_count():
     times = {}
     for n in (32, 128):
         H, W, _ = _system(9, n=n, m=2, k=1)
-        table = build_candidate_table(H, W, qam16(), 0.05, 1.0 / n, 3.0)
+        table = _table(H, W, qam16(), 0.05, 1.0 / n, 3.0)
         runs = []
         for _ in range(7):
             t0 = time.perf_counter()
@@ -291,7 +305,7 @@ def test_ml_beats_blmmse_on_a_small_link():
     H, W, rng = _system(15, n=16, m=4, k=1)
     sigma2, eta, rho = 3e-3, 1.0 / 16, 10 ** 0.5
     const = qam16()
-    table = build_candidate_table(H, W, const, sigma2, eta, rho)
+    table = _table(H, W, const, sigma2, eta, rho)
     B, C_xq = _combiner_parts(H, W, sigma2, eta)
     V = blmmse_combiner(H, W, B, C_xq, rho)
     draws = 3000

@@ -163,27 +163,32 @@ def test_trials_accounting_per_stream():
 
 def test_seconds_include_the_per_dither_builds(monkeypatch):
     # the kernel and combiner builds are charged to the first grid point of
-    # each dither power; a fixed delay in each build shows up there only
-    import time
+    # each dither power; a fixed delay in each build shows up there only.
+    # The harness reads a virtual clock that only the delayed builds advance,
+    # so the charged seconds are exact whatever the host load.
+    from types import SimpleNamespace
 
     from onebitlink import harness
 
     delay = 0.05
+    now = [0.0]
 
     def slow(fn):
         def wrapped(*args, **kwargs):
-            time.sleep(delay)
+            now[0] += delay
             return fn(*args, **kwargs)
         return wrapped
 
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: now[0]))
     monkeypatch.setattr(harness, "build_candidate_kernels", slow(harness.build_candidate_kernels))
     monkeypatch.setattr(harness, "cov_xd", slow(harness.cov_xd))
     cfg = ExperimentConfig(n_tx=8, n_rx=2, rho_db=(0.0, 10.0), dither_dbm=(2.0,),
                            n_channels=2, n_symbol_vectors=10, detectors=("ml", "blmmse"))
     rows = run_sweep(cfg).rows
     first, second = rows[:2], rows[2:]
-    assert all(r.seconds >= 2 * delay for r in first)  # one build per channel
-    assert all(r.seconds < 2 * delay for r in second)
+    # one build per channel
+    assert all(r.seconds == pytest.approx(2 * delay, abs=1e-12) for r in first)
+    assert all(r.seconds == 0.0 for r in second)
 
 
 def test_csv_text_layout(tmp_path):

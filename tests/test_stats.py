@@ -27,6 +27,9 @@ def _instance(seed, n=4, m=3, k=2, sigma2=0.3):
 def test_axis_helpers():
     z = np.array([1.0 - 2.0j, 3.0 + 4.0j])
     assert_allclose(stack_ri(z), [1.0, 3.0, -2.0, 4.0])
+    # a batch stacks each row along the last axis
+    assert_allclose(stack_ri(np.stack([z, 2 * z])),
+                    [[1.0, 3.0, -2.0, 4.0], [2.0, 6.0, -4.0, 8.0]])
     P = np.array([[1.0 + 2.0j, -0.5j, 3.0], [0.25 - 1.0j, 2.0 + 0.5j, -1.5 + 1.0j]])
     v = np.array([0.3 - 1.1j, 2.0 + 0.4j, -0.7 + 0.9j])
     assert embed(P).shape == (4, 6)
