@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack as _lapack
 
 
 class ParameterError(ValueError):
@@ -90,36 +89,76 @@ def quantize_1bit(x: np.ndarray, eta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class CholFactor(NamedTuple):
-    factor: np.ndarray   # lower triangular L with S + jitter*I = L L^T
-    logdet: float
-    jitter: float        # 0.0 when the input factorized as-is
+    factor: np.ndarray   # (..., d, d) lower triangular L with S + jitter*I = L L^T
+    logdet: np.ndarray   # (...,) log-determinants; a float for one matrix
+    jitter: float        # largest jitter added to any matrix, 0.0 when none was
 
 
 def chol_logdet(S: np.ndarray) -> CholFactor:
-    """Lower Cholesky factor and log-determinant of a symmetric PD matrix.
+    """Lower Cholesky factors and log-determinants of symmetric PD matrices.
 
-    On an indefinite input, retries with S + t*I where t starts at
-    1e-12*trace(S)/dim and escalates by factors of 10 up to 1e-6*trace(S)/dim.
-    Raises FactorizationError carrying the failing pivot index if the matrix is
+    S is one (d, d) matrix or a (..., d, d) stack, factored by one
+    np.linalg.cholesky call. If that call fails, the matrices are factored
+    one at a time: each that factors as-is keeps its plain factor, and each
+    indefinite one is retried with S + t*I, where t starts at
+    1e-12*trace(S)/d and escalates by factors of 10 up to 1e-6*trace(S)/d.
+    Raises FactorizationError carrying the failing pivot index if a matrix is
     still not positive definite at maximum jitter.
     """
-    S = np.ascontiguousarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {S.shape}")
+    S = np.asarray(S, dtype=np.float64)
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
+        raise ParameterError(f"expected a square matrix or a stack of them, got shape {S.shape}")
+    try:
+        L, jitter = np.linalg.cholesky(S), 0.0
+    except np.linalg.LinAlgError:
+        L = np.empty_like(S)
+        flat = L.reshape(-1, *S.shape[-2:])
+        jitter = max(_chol_jittered(Si, out) for Si, out in zip(S.reshape(flat.shape), flat))
+    logdet = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+    return CholFactor(L, float(logdet) if S.ndim == 2 else logdet, jitter)
+
+
+def _chol_jittered(S: np.ndarray, out: np.ndarray) -> float:
+    """Factor one matrix into out with the smallest jitter that works; returns it."""
     dim = S.shape[0]
     base = float(np.trace(S)) / dim
-    jitters = [0.0] + [base * 10.0 ** k for k in range(-12, -5)]
-    info = 0
-    for t in jitters:
+    for t in [0.0] + [base * 10.0 ** k for k in range(-12, -5)]:
         St = S if t == 0.0 else S + t * np.eye(dim)
-        c, info = _lapack.dpotrf(St, lower=1, overwrite_a=False)
-        if info == 0:
-            L = np.tril(c)
-            logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-            return CholFactor(L, logdet, t)
+        try:
+            out[...] = np.linalg.cholesky(St)
+            return t
+        except np.linalg.LinAlgError:
+            pass
+    # first leading minor that is not positive definite at maximum jitter
+    for pivot in range(dim):
+        try:
+            np.linalg.cholesky(St[:pivot + 1, :pivot + 1])
+        except np.linalg.LinAlgError:
+            break
     raise FactorizationError(
-        f"matrix not positive definite at pivot {info - 1} even with jitter", pivot=info - 1
+        f"matrix not positive definite at pivot {pivot} even with jitter", pivot=pivot
     )
+
+
+def tril_inv(L: np.ndarray) -> np.ndarray:
+    """Inverse of each lower triangular matrix of a (..., d, d) stack.
+
+    With L = [[A, 0], [C, B]] split at d/2, the inverse is
+    [[A^-1, 0], [-B^-1 C A^-1, B^-1]], so the work is batched matrix
+    products of the halves: about a quarter of the flops of a general
+    inverse, which solves against the identity as if L were full.
+    """
+    d = L.shape[-1]
+    if d <= 8:  # too small for the products to beat one LAPACK call
+        return np.linalg.inv(L)
+    h = d // 2
+    A_inv = tril_inv(L[..., :h, :h])
+    B_inv = tril_inv(L[..., h:, h:])
+    out = np.zeros_like(L)
+    out[..., :h, :h] = A_inv
+    out[..., h:, h:] = B_inv
+    out[..., h:, :h] = -(B_inv @ L[..., h:, :h]) @ A_inv
+    return out
 
 
 class TopKSubspace(NamedTuple):

@@ -2,10 +2,10 @@
 
 The ML detector picks the candidate symbol vector that minimizes the Gaussian
 objective of the receive model conditioned on that candidate (mean +
-covariance from `stats`), using cached Cholesky factors, so its cost does not
-depend on the transmit array size once the table is built. It is an exact
-pruned search: a cheap per-candidate lower bound rules most candidates out,
-and only the rest are scored exactly (see `ml_detect_batch`).
+covariance from `stats`), using cached inverse Cholesky factors, so its cost
+does not depend on the transmit array size once the table is built. It is an
+exact pruned search: a cheap per-candidate lower bound rules most candidates
+out, and only the rest are scored exactly (see `ml_detect_batch`).
 `ml_detect_exhaustive` scores every candidate and is the reference the tests
 compare against.
 """
@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .core import Constellation, ParameterError, chol_logdet
+from .core import Constellation, ParameterError, chol_logdet, tril_inv
 from .stats import assemble_stats, stack_ri, symbol_kernel
 from .txchain import cov_y_unconditional
 
@@ -26,12 +25,12 @@ MAX_TABLE = 10 ** 6
 # Relative slack taken off the lower bound, far above the rounding of the
 # distance expansion and of the exact scores, so it never prunes the winner.
 BOUND_SLACK = 1e-9
-# Received vectors per bound block: keeps the (block x candidates) bound
-# matrix at about 4 MB.
-BOUND_BLOCK_ENTRIES = 2 ** 19
+# Entries per block of work: keeps a (vectors x candidates) bound matrix, or a
+# block of covariances being factored, at about 4 MB.
+BLOCK_ENTRIES = 2 ** 19
 # Surviving (vector, candidate) pairs held before they are scored. Scoring
 # groups pairs by candidate, so the more vectors a group spans the fewer
-# solver calls; the cap bounds memory when the bound prunes little.
+# products; the cap bounds memory when the bound prunes little.
 SURVIVOR_CAP = 2 ** 20
 
 
@@ -43,11 +42,16 @@ class DetectorResult:
 
 @dataclass(frozen=True)
 class CandidateTable:
-    """Cached per-candidate receive statistics for one channel realization."""
+    """Cached per-candidate receive statistics for one channel realization.
+
+    inv_chol holds the inverse L^{-1} of each lower Cholesky factor
+    Sigma = L L^T (lower triangular up to rounding), so a candidate's
+    quadratic form is ||L^{-1} (y' - mu)||^2.
+    """
 
     indices: np.ndarray   # (L^K, K) per-stream constellation indices
     mu: np.ndarray        # (L^K, 2M) stacked means
-    chol: np.ndarray      # (L^K, 2M, 2M) lower Cholesky factors
+    inv_chol: np.ndarray  # (L^K, 2M, 2M) inverse lower Cholesky factors L^{-1}
     logdet: np.ndarray    # (L^K,)
     norm: np.ndarray      # (L^K,) ||Sigma||_inf, at least lambda_max(Sigma)
     rho: float
@@ -92,18 +96,23 @@ def build_candidate_kernels(H, W, constellation: Constellation, sigma2: float,
 def build_candidate_table(kernels, rho: float) -> CandidateTable:
     """Cached detector statistics at transmit SNR rho from `build_candidate_kernels`.
 
-    Each candidate's Cholesky factor overwrites its covariance in the stack.
+    The covariance stack is factored block by block (one `chol_logdet` and
+    one `tril_inv` call per block), and each candidate's inverse Cholesky
+    factor overwrites its covariance in the stack.
     """
     digits, kernel = kernels
-    mu, chol = assemble_stats(kernel, rho)
-    logdet = np.empty(digits.shape[0])
-    norm = np.empty(digits.shape[0])
-    for i, Sigma in enumerate(chol):
-        norm[i] = np.linalg.norm(Sigma, np.inf)
-        fac = chol_logdet(Sigma)
-        chol[i] = fac.factor
-        logdet[i] = fac.logdet
-    return CandidateTable(indices=digits, mu=mu, chol=chol, logdet=logdet,
+    mu, inv_chol = assemble_stats(kernel, rho)
+    n_cand, dim = digits.shape[0], inv_chol.shape[-1]
+    logdet = np.empty(n_cand)
+    norm = np.empty(n_cand)
+    step = max(1, BLOCK_ENTRIES // (dim * dim))
+    for lo in range(0, n_cand, step):
+        blk = inv_chol[lo:lo + step]
+        norm[lo:lo + step] = np.abs(blk).sum(axis=-1).max(axis=-1)
+        fac = chol_logdet(blk)
+        logdet[lo:lo + step] = fac.logdet
+        blk[...] = tril_inv(fac.factor)
+    return CandidateTable(indices=digits, mu=mu, inv_chol=inv_chol, logdet=logdet,
                           norm=norm, rho=rho)
 
 
@@ -116,14 +125,8 @@ def _stacked_rows(Y: np.ndarray, table: CandidateTable) -> np.ndarray:
 
 def _score(Yp: np.ndarray, table: CandidateTable, c: int) -> np.ndarray:
     """Exact objective of candidate c for each stacked-real row of Yp."""
-    r = Yp - table.mu[c]
-    # L u = r as the transposed solve with the upper factor L^T: the call
-    # scipy's solve_triangular makes for a C-ordered L, without its per-call
-    # overhead. dtrtrs(L, lower=1) rounds differently on one right-hand side.
-    u, info = lapack.dtrtrs(table.chol[c].T, r.T, lower=0, trans=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular solve failed, LAPACK info {info}")
-    return np.einsum("ij,ij->j", u, u) + table.logdet[c]
+    u = (Yp - table.mu[c]) @ table.inv_chol[c].T
+    return np.einsum("ij,ij->i", u, u) + table.logdet[c]
 
 
 def _groups(keys: np.ndarray):
@@ -168,9 +171,8 @@ def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
     candidate whose bound does not exceed it is scored exactly with the same
     arithmetic as `ml_detect_exhaustive`, grouped by candidate across the
     vectors. The minimum over those is the exhaustive minimum. Scores can
-    differ from the exhaustive ones by rounding only, because a triangular
-    solve over a subset of right-hand sides need not round like one over
-    all of them.
+    differ from the exhaustive ones by rounding only, because a product
+    over a subset of the rows need not round like one over all of them.
     """
     Yp = _stacked_rows(Y, table)
     n, n_cand = Yp.shape[0], table.n_candidates
@@ -190,7 +192,7 @@ def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
         d2 += base
         return d2
 
-    step = max(1, BOUND_BLOCK_ENTRIES // n_cand)
+    step = max(1, BLOCK_ENTRIES // n_cand)
     blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
     first = np.concatenate([np.argmin(lower_bounds(b), axis=1) for b in blocks])
     threshold = np.empty(n)

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import onebitlink
 from onebitlink.core import (Constellation, FactorizationError, ParameterError,
                              chol_logdet, make_constellation, qam16, qpsk,
-                             quantize_1bit, substream, svd_topk)
+                             quantize_1bit, substream, svd_topk, tril_inv)
 
 # ---------------------------------------------------------------------------
 # 1-bit quantizer
@@ -102,6 +108,53 @@ def test_chol_logdet_reports_failing_pivot():
 def test_chol_logdet_rejects_nonsquare():
     with pytest.raises(ParameterError):
         chol_logdet(np.ones((2, 3)))
+
+
+def test_chol_logdet_stack_jitters_only_the_failing_matrix():
+    rng = substream(6, 1)
+    A = rng.standard_normal((3, 5, 5))
+    S = A @ A.transpose(0, 2, 1) + 5 * np.eye(5)
+    S[1] = np.diag([1.0, 2.0, 0.0, 3.0, 4.0])
+    f = chol_logdet(S)
+    assert f.factor.shape == (3, 5, 5) and f.logdet.shape == (3,)
+    for i in (0, 2):
+        assert np.array_equal(f.factor[i], np.linalg.cholesky(S[i]))
+        assert f.logdet[i] == pytest.approx(np.linalg.slogdet(S[i])[1], rel=1e-12)
+    alone = chol_logdet(S[1])
+    assert alone.jitter > 0.0
+    assert np.array_equal(f.factor[1], alone.factor)
+    assert f.logdet[1] == alone.logdet
+    assert f.jitter == alone.jitter
+    assert float(f.jitter) == f.jitter and np.ndim(f.jitter) == 0
+
+
+def test_chol_logdet_stack_reports_the_failing_pivot():
+    S = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+    with pytest.raises(FactorizationError) as exc:
+        chol_logdet(S)
+    assert exc.value.pivot == 1
+
+
+@pytest.mark.parametrize("d", [1, 5, 8, 9, 37])
+def test_tril_inv_inverts_a_stack_of_factors(d):
+    rng = substream(6, 2)
+    A = rng.standard_normal((4, d, d))
+    L = np.linalg.cholesky(A @ A.transpose(0, 2, 1) + d * np.eye(d))
+    Li = tril_inv(L)
+    assert Li.shape == L.shape
+    assert_allclose(Li @ L, np.broadcast_to(np.eye(d), L.shape), atol=1e-13)
+    assert_allclose(Li, np.linalg.inv(L), rtol=1e-12, atol=1e-14)
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # numpy and scipy each ship an OpenBLAS with its own thread pool; the
+    # library computes with numpy's only, so scipy.linalg stays unloaded
+    code = "import sys, onebitlink; print('scipy.linalg' in sys.modules)"
+    src = str(Path(onebitlink.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
