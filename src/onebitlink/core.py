@@ -67,10 +67,13 @@ def quantize_1bit(x: np.ndarray, eta: float) -> np.ndarray:
 
     Maps each entry to c*(sgn(Re) + 1j*sgn(Im)) with c ~ sqrt(eta/2), with the
     convention sgn(0) = +1 so every output entry has squared modulus eta.
+    Real input is read as the stacked-real form [Re, Im] of a complex array
+    and maps each entry to c*sgn(entry), so that
+    quantize_1bit(stack_ri(x), eta) == stack_ri(quantize_1bit(x, eta)).
 
     Parameters
     ----------
-    x : array_like of complex
+    x : array_like of complex, or of real in stacked form
         Input of any shape (batches allowed).
     eta : float
         Per-entry output power, must be > 0.
@@ -79,6 +82,8 @@ def quantize_1bit(x: np.ndarray, eta: float) -> np.ndarray:
         raise ParameterError(f"eta must be positive, got {eta}")
     x = np.asarray(x)
     c = _axis_magnitude(eta)
+    if not np.iscomplexobj(x):
+        return np.where(x >= 0, c, -c)
     re = np.where(x.real >= 0, c, -c)
     im = np.where(x.imag >= 0, c, -c)
     return re + 1j * im
@@ -103,7 +108,9 @@ def chol_logdet(S: np.ndarray) -> CholFactor:
     indefinite one is retried with S + t*I, where t starts at
     1e-12*trace(S)/d and escalates by factors of 10 up to 1e-6*trace(S)/d.
     Raises FactorizationError carrying the failing pivot index if a matrix is
-    still not positive definite at maximum jitter.
+    still not positive definite at maximum jitter, and ParameterError naming
+    the first matrix whose log-determinant is not finite (NaN or Inf entries,
+    which the factorization itself does not flag).
     """
     S = np.asarray(S, dtype=np.float64)
     if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
@@ -115,6 +122,10 @@ def chol_logdet(S: np.ndarray) -> CholFactor:
         flat = L.reshape(-1, *S.shape[-2:])
         jitter = max(_chol_jittered(Si, out) for Si, out in zip(S.reshape(flat.shape), flat))
     logdet = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+    bad = ~np.isfinite(logdet)
+    if bad.any():
+        where = "" if S.ndim == 2 else f" at index {tuple(int(i) for i in np.argwhere(bad)[0])}"
+        raise ParameterError(f"matrix{where} has a non-finite log-determinant (NaN or Inf entries)")
     return CholFactor(L, float(logdet) if S.ndim == 2 else logdet, jitter)
 
 

@@ -11,6 +11,11 @@ All estimates are reported in the stacked-real convention: a complex length-n
 vector becomes [Re; Im] of length 2n, and cross moments E[a b^T] are 2n x 2n
 real matrices holding the four quadrature blocks. A proper complex second
 moment C reads 0.5 * stats.embed(C) in this form.
+
+The chain is drawn, quantized and accumulated in this form too: one
+(2, rows, n) standard-normal draw gives the same numbers, in the same stream
+order, as a Re-then-Im pair of complex draws, and complex matrices enter as
+embed(P).T right factors, so no complex array is formed per chunk.
 """
 
 from __future__ import annotations
@@ -52,16 +57,28 @@ class OracleEstimate:
     draws: int
 
 
-class _MeanAcc:
-    def __init__(self, dim):
-        self.n = 0
-        self.s = np.zeros(dim)
-        self.s2 = np.zeros(dim)
+# the arrays each kind averages: one for a mean, two (a, b) for E[a b^T]
+_OPERANDS = {
+    "mean_xq": ("xq",), "cross_xd_xq": ("xd", "xq"), "cov_xq": ("xq", "xq"),
+    "mean_pd": ("pd",), "cross_d_pd": ("d", "pd"), "cov_pd": ("pd", "pd"),
+    "noise_mean": ("noise",), "noise_cov": ("noise", "noise"),
+    "y_mean": ("y",), "y_cov": ("y", "y"),
+    "cov_xd_gauss": ("xd", "xd"), "cross_xd_xq_gauss": ("xd", "xq"),
+    "cov_xq_gauss": ("xq", "xq"), "cov_y_gauss": ("y", "y"),
+    "cross_qd_xd_gauss": ("qd", "xd"),
+}
 
-    def add(self, X):
+
+class _MeanAcc:
+    """Running column sums of a chunked array and of its squares."""
+
+    def __init__(self):
+        self.n, self.s, self.s2 = 0, 0.0, 0.0
+
+    def add(self, X, X2):
         self.n += X.shape[0]
         self.s += X.sum(axis=0)
-        self.s2 += (X * X).sum(axis=0)
+        self.s2 += X2.sum(axis=0)
 
     def estimate(self) -> OracleEstimate:
         mean = self.s / self.n
@@ -69,21 +86,34 @@ class _MeanAcc:
         return OracleEstimate(mean, np.sqrt(var / self.n), self.n)
 
 
-class _OuterAcc:
-    def __init__(self, dim_a, dim_b):
-        self.n = 0
-        self.s = np.zeros((dim_a, dim_b))
-        self.s2 = np.zeros((dim_a, dim_b))
+class _OuterAcc(_MeanAcc):
+    """Running sums of A^T B and of (A*A)^T (B*B) over chunked row pairs."""
 
-    def add(self, A, B):
+    def add(self, A, B, A2, B2):
         self.n += A.shape[0]
         self.s += A.T @ B
-        self.s2 += (A * A).T @ (B * B)
+        self.s2 += A2.T @ B2
 
-    def estimate(self) -> OracleEstimate:
-        mean = self.s / self.n
-        var = np.maximum(self.s2 / self.n - mean ** 2, 0.0)
-        return OracleEstimate(mean, np.sqrt(var / self.n), self.n)
+
+def _accumulators(kinds):
+    return {k: (_MeanAcc() if len(_OPERANDS[k]) == 1 else _OuterAcc()) for k in kinds}
+
+
+def _feed(acc, arrays):
+    """Add one chunk to each accumulator whose operands are all in `arrays`.
+
+    Each array is squared once and the square is shared by every
+    accumulator that reads it; the squares are dropped on return.
+    """
+    squares = {}
+    for kind, a in acc.items():
+        names = _OPERANDS[kind]
+        if not arrays.keys() >= set(names):
+            continue
+        for name in names:
+            if name not in squares:
+                squares[name] = arrays[name] * arrays[name]
+        a.add(*(arrays[k] for k in names), *(squares[k] for k in names))
 
 
 def _chunks(draws, chunk):
@@ -94,9 +124,21 @@ def _chunks(draws, chunk):
         yield step
 
 
+def _normal_rows(rng, step, n, scale):
+    """`step` stacked rows [Re, Im] of scaled complex normal draws.
+
+    One (2, step, n) draw holds the same numbers, in the same stream order,
+    as a Re-then-Im pair of (step, n) draws; the halves of each row are
+    written side by side.
+    """
+    out = np.empty((step, 2, n))
+    np.multiply(rng.standard_normal((2, step, n)).transpose(1, 0, 2), scale, out=out)
+    return out.reshape(step, 2 * n)
+
+
 def _run_conditional(x, H, G, cfg: TxConfig, rho, draws, rng, kinds, chunk):
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.size
+    x = stack_ri(np.asarray(x, dtype=np.complex128))
+    n = x.size // 2
     m = None if H is None else np.asarray(H).shape[0]
     sig = np.sqrt(cfg.sigma2)
     need_pd = kinds & {"mean_pd", "cross_d_pd", "cov_pd", "noise_mean", "noise_cov"}
@@ -105,55 +147,27 @@ def _run_conditional(x, H, G, cfg: TxConfig, rho, draws, rng, kinds, chunk):
         raise ParameterError("receive-side kinds need the channel matrix H")
     if need_pd and G is None:
         raise ParameterError("residual kinds need the linearization gain G")
-    T = None if (H is None or G is None) else np.asarray(H) @ np.asarray(G)
+    # right factors: stack_ri(v @ P.T) == stack_ri(v) @ embed(P).T
+    Ge = None if G is None else embed(G).T
+    He = None if H is None else embed(H).T
+    Te = None if (H is None or G is None) else embed(np.asarray(H) @ np.asarray(G)).T
 
-    acc = {}
-    for k in kinds:
-        if k in ("mean_xq", "mean_pd"):
-            acc[k] = _MeanAcc(2 * n)
-        elif k in ("noise_mean", "y_mean"):
-            acc[k] = _MeanAcc(2 * m)
-        elif k in ("noise_cov", "y_cov"):
-            acc[k] = _OuterAcc(2 * m, 2 * m)
-        else:
-            acc[k] = _OuterAcc(2 * n, 2 * n)
-
+    acc = _accumulators(kinds)
     for step in _chunks(draws, chunk):
-        d = (rng.standard_normal((step, n)) + 1j * rng.standard_normal((step, n))) * (sig / np.sqrt(2))
-        xd = x[None, :] + d
+        d = _normal_rows(rng, step, n, sig / np.sqrt(2))
+        xd = x + d
         xq = quantize_1bit(xd, cfg.eta)
-        xq_s = stack_ri(xq)
-        if "mean_xq" in acc:
-            acc["mean_xq"].add(xq_s)
-        if "cross_xd_xq" in acc:
-            acc["cross_xd_xq"].add(stack_ri(xd), xq_s)
-        if "cov_xq" in acc:
-            acc["cov_xq"].add(xq_s, xq_s)
+        _feed(acc, {"xd": xd, "xq": xq})
         if need_pd:
-            pd = xq - xd @ np.asarray(G).T
-            pd_s = stack_ri(pd)
-            if "mean_pd" in acc:
-                acc["mean_pd"].add(pd_s)
-            if "cross_d_pd" in acc:
-                acc["cross_d_pd"].add(stack_ri(d), pd_s)
-            if "cov_pd" in acc:
-                acc["cov_pd"].add(pd_s, pd_s)
+            pd = xq - xd @ Ge
+            del xd
+            _feed(acc, {"d": d, "pd": pd})
         if need_rx:
-            z = (rng.standard_normal((step, m)) + 1j * rng.standard_normal((step, m))) / np.sqrt(2)
+            z = _normal_rows(rng, step, m, 1 / np.sqrt(2))
             if kinds & {"noise_mean", "noise_cov"}:
-                noise = np.sqrt(rho) * (d @ T.T + pd @ np.asarray(H).T) + z
-                ns = stack_ri(noise)
-                if "noise_mean" in acc:
-                    acc["noise_mean"].add(ns)
-                if "noise_cov" in acc:
-                    acc["noise_cov"].add(ns, ns)
+                _feed(acc, {"noise": np.sqrt(rho) * (d @ Te + pd @ He) + z})
             if kinds & {"y_mean", "y_cov"}:
-                y = np.sqrt(rho) * xq @ np.asarray(H).T + z
-                ys = stack_ri(y)
-                if "y_mean" in acc:
-                    acc["y_mean"].add(ys)
-                if "y_cov" in acc:
-                    acc["y_cov"].add(ys, ys)
+                _feed(acc, {"y": np.sqrt(rho) * xq @ He + z})
 
     return {k: a.estimate() for k, a in acc.items()}
 
@@ -165,35 +179,24 @@ def _run_gauss(W, H, cfg: TxConfig, rho, draws, rng, kinds, chunk):
     if kinds & {"cov_y_gauss"} and H is None:
         raise ParameterError("cov_y_gauss needs the channel matrix H")
     sig = np.sqrt(cfg.sigma2)
-    B = None
+    We = embed(W).T
+    He = None if H is None else embed(H).T
+    Be = None
     if "cross_qd_xd_gauss" in kinds:
-        B = bussgang_gain(cov_xd(W, cfg.sigma2), cfg.eta)
+        Be = embed(bussgang_gain(cov_xd(W, cfg.sigma2), cfg.eta)).T
 
-    acc = {}
-    for kind in kinds:
-        dim = 2 * m if kind == "cov_y_gauss" else 2 * n
-        acc[kind] = _OuterAcc(dim, dim)
-
+    acc = _accumulators(kinds)
     for step in _chunks(draws, chunk):
-        s = (rng.standard_normal((step, k_streams)) + 1j * rng.standard_normal((step, k_streams))) / np.sqrt(2)
-        d = (rng.standard_normal((step, n)) + 1j * rng.standard_normal((step, n))) * (sig / np.sqrt(2))
-        xd = s @ W.T + d
+        xd = _normal_rows(rng, step, k_streams, 1 / np.sqrt(2)) @ We
+        xd += _normal_rows(rng, step, n, sig / np.sqrt(2))
         xq = quantize_1bit(xd, cfg.eta)
-        xd_s, xq_s = stack_ri(xd), stack_ri(xq)
-        if "cov_xd_gauss" in acc:
-            acc["cov_xd_gauss"].add(xd_s, xd_s)
-        if "cross_xd_xq_gauss" in acc:
-            acc["cross_xd_xq_gauss"].add(xd_s, xq_s)
-        if "cov_xq_gauss" in acc:
-            acc["cov_xq_gauss"].add(xq_s, xq_s)
-        if "cross_qd_xd_gauss" in acc:
-            qd = xq - xd @ B.T
-            acc["cross_qd_xd_gauss"].add(stack_ri(qd), xd_s)
-        if "cov_y_gauss" in acc:
-            z = (rng.standard_normal((step, m)) + 1j * rng.standard_normal((step, m))) / np.sqrt(2)
-            y = np.sqrt(rho) * xq @ np.asarray(H).T + z
-            ys = stack_ri(y)
-            acc["cov_y_gauss"].add(ys, ys)
+        arrays = {"xd": xd, "xq": xq}
+        if Be is not None:
+            arrays["qd"] = xq - xd @ Be
+        _feed(acc, arrays)
+        if "cov_y_gauss" in kinds:
+            z = _normal_rows(rng, step, m, 1 / np.sqrt(2))
+            _feed(acc, {"y": np.sqrt(rho) * xq @ He + z})
 
     return {k: a.estimate() for k, a in acc.items()}
 

@@ -11,6 +11,7 @@ import onebitlink
 from onebitlink.core import (Constellation, FactorizationError, ParameterError,
                              chol_logdet, make_constellation, qam16, qpsk,
                              quantize_1bit, substream, svd_topk, tril_inv)
+from onebitlink.stats import stack_ri
 
 # ---------------------------------------------------------------------------
 # 1-bit quantizer
@@ -68,6 +69,25 @@ def test_quantize_power_within_ulps_elsewhere(n):
 def test_quantize_rejects_bad_eta():
     with pytest.raises(ParameterError):
         quantize_1bit(np.ones(4, dtype=complex), 0.0)
+    for eta in (0.0, -0.5):  # the stacked-real path checks eta too
+        with pytest.raises(ParameterError):
+            quantize_1bit(np.ones(8), eta)
+
+
+def test_quantize_stacked_real_form_is_bit_identical():
+    # real input is the stacked form [Re, Im]: quantizing it equals stacking
+    # the complex quantizer's output bit for bit, signed zeros on either axis
+    # included (sgn(-0.0) = +1 like sgn(+0.0))
+    rng = substream(3, 1)
+    x = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+    x[0, :4] = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    x[1, :3] = [complex(-0.0, 1.0), complex(2.0, -0.0), complex(-1.0, 0.0)]
+    for eta in (1.0 / 6, 0.5, 2.0):
+        got = quantize_1bit(stack_ri(x), eta)
+        want = stack_ri(quantize_1bit(x, eta))
+        assert got.dtype == np.float64 and got.shape == (5, 12)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.all(quantize_1bit(stack_ri(x[0, :4]), 2.0) == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +153,24 @@ def test_chol_logdet_stack_reports_the_failing_pivot():
     with pytest.raises(FactorizationError) as exc:
         chol_logdet(S)
     assert exc.value.pivot == 1
+
+
+def test_chol_logdet_rejects_non_finite_matrix():
+    # potrf does not flag a NaN pivot, and an Inf one factors to logdet = inf
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="non-finite"):
+            chol_logdet(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def test_chol_logdet_stack_names_the_first_non_finite_matrix():
+    S = np.tile(np.eye(3), (2, 3, 1, 1))
+    S[1, 0, 2, 2] = np.nan
+    S[1, 2, 0, 0] = np.inf
+    with pytest.raises(ParameterError, match=r"index \(1, 0\)"):
+        chol_logdet(S)
+    S[0, 1] = np.diag([1.0, 0.0, 1.0])  # the per-matrix jitter route checks too
+    with pytest.raises(ParameterError, match=r"index \(1, 0\)"):
+        chol_logdet(S)
 
 
 @pytest.mark.parametrize("d", [1, 5, 8, 9, 37])

@@ -3,12 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 
-from onebitlink.core import ParameterError, chol_logdet, qam16, substream
+from onebitlink.core import ParameterError, chol_logdet, qam16, quantize_1bit, substream
 from onebitlink.oracle import (SATURATION_ALLOWANCE, InstanceSpec,
                                closed_form_moments, default_instances,
                                mc_gaussian_loglike, mc_moment,
                                validate_instance)
-from onebitlink.stats import mean_xq_cond
+from onebitlink.stats import lmmse_gain, mean_xq_cond, stack_ri
 from onebitlink.txchain import TxConfig
 
 
@@ -80,6 +80,52 @@ def test_mc_moment_noise_cov_at_zero_snr_is_awgn():
     est = mc_moment("noise_cov", x=x, H=H, cfg=_cfg(n=n), rho=0.0,
                     draws=10 ** 5, rng=rng)
     assert np.all(np.abs(est.value - 0.5 * np.eye(2 * m)) <= 4 * est.stderr + 1e-12)
+
+
+def _complex_chain_moment(kind, x, H, G, W, cfg, rho, draws, chunk, rng):
+    """E[a a^T] of the stacked chain output, by complex arithmetic.
+
+    A test-only reference: each complex draw is a Re-then-Im pair of
+    standard_normal calls, in the order s, d, z within a chunk.
+    """
+    sig = np.sqrt(cfg.sigma2)
+
+    def cn(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    total = 0.0
+    for start in range(0, draws, chunk):
+        step = min(chunk, draws - start)
+        if kind == "cov_y_gauss":
+            s = cn((step, W.shape[1])) / np.sqrt(2)
+            xq = quantize_1bit(s @ W.T + cn((step, W.shape[0])) * (sig / np.sqrt(2)), cfg.eta)
+            a = np.sqrt(rho) * xq @ H.T + cn((step, H.shape[0])) / np.sqrt(2)
+        else:
+            d = cn((step, x.size)) * (sig / np.sqrt(2))
+            xd = x + d
+            a = quantize_1bit(xd, cfg.eta) - xd @ G.T
+            if kind == "noise_cov":
+                a = np.sqrt(rho) * (d @ (H @ G).T + a @ H.T) + cn((step, H.shape[0])) / np.sqrt(2)
+        a = stack_ri(a)
+        total = total + a.T @ a
+    return total / draws
+
+
+def test_mc_moment_keeps_the_complex_draw_stream():
+    # the stacked-real chain draws the same numbers in the same stream order
+    # as the complex one, so only matrix-product rounding separates them
+    rng = substream(8, 0)
+    n, m, k = 3, 2, 2
+    W = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
+    H = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
+    x = W @ qam16().points[[3, 9]]
+    cfg = _cfg(sigma2=0.3, n=n)
+    G = lmmse_gain(x, cfg.sigma2, cfg.eta)
+    for kind in ("cov_pd", "noise_cov", "cov_y_gauss"):
+        est = mc_moment(kind, x=x, H=H, G=G, W=W, cfg=cfg, rho=2.0, draws=10 ** 4,
+                        rng=substream(8, 1), chunk=4000)
+        ref = _complex_chain_moment(kind, x, H, G, W, cfg, 2.0, 10 ** 4, 4000, substream(8, 1))
+        assert_allclose(est.value, ref, rtol=1e-12, atol=0, err_msg=kind)
 
 
 def test_gaussian_loglike_trivial_cases():
