@@ -107,14 +107,18 @@ def chol_logdet(S: np.ndarray) -> CholFactor:
     one at a time: each that factors as-is keeps its plain factor, and each
     indefinite one is retried with S + t*I, where t starts at
     1e-12*trace(S)/d and escalates by factors of 10 up to 1e-6*trace(S)/d.
-    Raises FactorizationError carrying the failing pivot index if a matrix is
-    still not positive definite at maximum jitter, and ParameterError naming
-    the first matrix whose log-determinant is not finite (NaN or Inf entries,
-    which the factorization itself does not flag).
+    Raises ParameterError naming the first matrix with a NaN or Inf entry
+    before factoring anything (the factorization does not flag a NaN pivot),
+    and FactorizationError carrying the failing pivot index if a matrix is
+    still not positive definite at maximum jitter.
     """
     S = np.asarray(S, dtype=np.float64)
     if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
         raise ParameterError(f"expected a square matrix or a stack of them, got shape {S.shape}")
+    bad = ~np.isfinite(S).all(axis=(-2, -1))
+    if bad.any():
+        where = "" if S.ndim == 2 else f" at index {tuple(int(i) for i in np.argwhere(bad)[0])}"
+        raise ParameterError(f"matrix{where} has non-finite entries (NaN or Inf)")
     try:
         L, jitter = np.linalg.cholesky(S), 0.0
     except np.linalg.LinAlgError:
@@ -122,10 +126,6 @@ def chol_logdet(S: np.ndarray) -> CholFactor:
         flat = L.reshape(-1, *S.shape[-2:])
         jitter = max(_chol_jittered(Si, out) for Si, out in zip(S.reshape(flat.shape), flat))
     logdet = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
-    bad = ~np.isfinite(logdet)
-    if bad.any():
-        where = "" if S.ndim == 2 else f" at index {tuple(int(i) for i in np.argwhere(bad)[0])}"
-        raise ParameterError(f"matrix{where} has a non-finite log-determinant (NaN or Inf entries)")
     return CholFactor(L, float(logdet) if S.ndim == 2 else logdet, jitter)
 
 
@@ -223,6 +223,14 @@ class Constellation:
     @property
     def size(self) -> int:
         return self.points.size
+
+    @property
+    def rotation(self) -> np.ndarray | None:
+        """Index permutation p with points[p] == 1j * points exactly, or None
+        if the alphabet is not closed under the quarter turn s -> j s."""
+        where = {complex(p): i for i, p in enumerate(self.points)}
+        perm = [where.get(complex(q)) for q in 1j * self.points]
+        return None if None in perm else np.array(perm, dtype=np.int64)
 
 
 def qam16() -> Constellation:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,16 @@ def test_chol_logdet_stack_names_the_first_non_finite_matrix():
         chol_logdet(S)
 
 
+@pytest.mark.parametrize("S", [[[1.0, np.inf], [np.inf, 1.0]], [[1.0, 0.0], [0.0, -np.inf]]],
+                         ids=["inf-off-diagonal", "minus-inf-diagonal"])
+def test_chol_logdet_rejects_infinite_entries_up_front(S):
+    # refused before any factorization or jitter escalation, so no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="non-finite"):
+            chol_logdet(np.array(S))
+
+
 @pytest.mark.parametrize("d", [1, 5, 8, 9, 37])
 def test_tril_inv_inverts_a_stack_of_factors(d):
     rng = substream(6, 2)
@@ -273,6 +284,20 @@ def test_make_constellation_registry():
         make_constellation("64qam")
     with pytest.raises(ParameterError):
         make_constellation(5)
+
+
+@pytest.mark.parametrize("name", ["qpsk", "16qam"])
+def test_rotation_permutation_is_the_exact_quarter_turn(name):
+    c = make_constellation(name)
+    p = c.rotation
+    assert sorted(p.tolist()) == list(range(c.size))
+    # bit for bit, not to a tolerance
+    assert np.array_equal(c.points[p].view(np.uint64), (1j * c.points).view(np.uint64))
+
+
+def test_rotation_is_none_for_an_alphabet_not_closed_under_j():
+    assert make_constellation("single").rotation is None
+    assert Constellation(np.array([1.0, -1.0 + 0j])).rotation is None
 
 
 def test_constellation_validates_unit_energy():

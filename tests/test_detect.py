@@ -7,14 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from onebitlink.core import ParameterError, make_constellation, qam16, qpsk, quantize_1bit, substream
+from onebitlink.core import (ParameterError, chol_logdet, make_constellation, qam16, qpsk,
+                             quantize_1bit, substream)
 from onebitlink.detect import (CandidateTable, build_candidate_kernels,
                                build_candidate_table, blmmse_combiner,
                                enumerate_candidates, ml_detect,
                                ml_detect_batch, ml_detect_exhaustive,
                                slice_min_distance, slice_min_distance_batch)
 from onebitlink.oracle import mc_gaussian_loglike
-from onebitlink.stats import assemble_stats, lmmse_gain, noise_stats, stack_ri
+from onebitlink.stats import (assemble_stats, embed, lmmse_gain, noise_stats, stack_ri,
+                              symbol_kernel)
 from onebitlink.txchain import bussgang_gain, cov_xd, cov_xq_unconditional
 
 
@@ -30,9 +32,24 @@ def _table(H, W, constellation, sigma2, eta, rho):
         build_candidate_kernels(H, W, constellation, sigma2, eta), rho)
 
 
-def _dense_sigma(H, W, constellation, sigma2, eta, rho):
-    # the covariance stack as assembled, before the table build factors it
-    return assemble_stats(build_candidate_kernels(H, W, constellation, sigma2, eta)[1], rho)[1]
+def _direct_stats(H, W, constellation, sigma2, eta, rho):
+    # (mu, Sigma) of every candidate, built without the quarter-turn symmetry
+    _, symbols = enumerate_candidates(constellation, W.shape[1])
+    return assemble_stats(symbol_kernel(H, symbols @ W.T, sigma2, eta), rho)
+
+
+def _position_chol(table, c):
+    # lower factor of table position c: Q^k L_r with Q = embed(j I), so that
+    # Sigma_c = Q^k L_r L_r^T Q^-k
+    m = table.mu.shape[1] // 2
+    Qk = np.linalg.matrix_power(embed(1j * np.eye(m)), int(table.turns[c]))
+    return Qk @ np.linalg.inv(table.inv_chol[table.orbit[c]])
+
+
+def _fields(table, pos):
+    # the per-position fields of a table, taken at positions pos
+    return dict(indices=table.indices[pos], orbit=table.orbit[pos], turns=table.turns[pos],
+                mu=table.mu[pos], logdet=table.logdet[pos], norm=table.norm[pos])
 
 
 def test_enumerate_candidates_order_and_cover():
@@ -56,12 +73,12 @@ def test_ml_matches_dense_inverse_oracle():
     H, W, rng = _system(1, n=6, m=2, k=1)
     sigma2, eta, rho = 0.05, 1.0 / 6, 3.0
     table = _table(H, W, qpsk(), sigma2, eta, rho)
-    Sigma = _dense_sigma(H, W, qpsk(), sigma2, eta, rho)
+    mu, Sigma = _direct_stats(H, W, qpsk(), sigma2, eta, rho)
     Y = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
     got, scores = ml_detect_batch(Y, table)
     Yp = np.concatenate([Y.real, Y.imag], axis=1)
     for t in range(Y.shape[0]):
-        objs = [mc_gaussian_loglike(Yp[t], table.mu[c], Sigma[c])
+        objs = [mc_gaussian_loglike(Yp[t], mu[c], Sigma[c])
                 for c in range(table.n_candidates)]
         want = int(np.argmin(objs))
         assert got[t, 0] == table.indices[want, 0]
@@ -100,18 +117,22 @@ def test_ml_degenerate_single_candidate():
 def test_ml_prefers_own_mean_and_breaks_ties_low():
     H, W, rng = _system(5)
     base = _table(H, W, qpsk(), 0.1, 1.0 / 6, 2.0)
-    # two candidates with identical statistics: position 0 must win
-    dup = CandidateTable(indices=np.array([[0], [1]]),
-                         mu=np.repeat(base.mu[:1], 2, axis=0),
-                         inv_chol=np.repeat(base.inv_chol[:1], 2, axis=0),
-                         logdet=np.repeat(base.logdet[:1], 2),
-                         norm=np.repeat(base.norm[:1], 2),
-                         rho=base.rho)
+    # two candidates with identical statistics: position 0 must win, whether
+    # they are two orbits with equal factors or one orbit at two positions
     Y = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
-    got, _ = ml_detect_batch(Y, dup)
-    assert np.all(got == 0)
+    for orbit, factors in (([0, 1], 2), ([0, 0], 1)):
+        dup = CandidateTable(indices=np.array([[0], [1]]), orbit=np.array(orbit),
+                             turns=np.zeros(2, dtype=np.int64),
+                             mu=np.repeat(base.mu[:1], 2, axis=0),
+                             inv_chol=np.repeat(base.inv_chol[:1], factors, axis=0),
+                             logdet=np.repeat(base.logdet[:1], 2),
+                             norm=np.repeat(base.norm[:1], 2),
+                             rho=base.rho)
+        got, _ = ml_detect_batch(Y, dup)
+        assert np.all(got == 0)
     # y placed exactly at candidate c's mean, shared covariance -> c wins
-    shared = CandidateTable(indices=base.indices, mu=base.mu,
+    shared = CandidateTable(indices=base.indices, orbit=np.arange(4),
+                            turns=np.zeros(4, dtype=np.int64), mu=base.mu,
                             inv_chol=np.repeat(base.inv_chol[:1], 4, axis=0),
                             logdet=np.repeat(base.logdet[:1], 4),
                             norm=np.repeat(base.norm[:1], 4),
@@ -126,9 +147,7 @@ def test_ml_prefers_own_mean_and_breaks_ties_low():
 def test_ml_rejects_empty_table():
     H, W, rng = _system(6)
     base = _table(H, W, qpsk(), 0.1, 1.0 / 6, 2.0)
-    empty = CandidateTable(indices=base.indices[:0], mu=base.mu[:0],
-                           inv_chol=base.inv_chol[:0],
-                           logdet=base.logdet[:0], norm=base.norm[:0],
+    empty = CandidateTable(**_fields(base, slice(0, 0)), inv_chol=base.inv_chol[:0],
                            rho=base.rho)
     with pytest.raises(ParameterError):
         ml_detect(np.zeros(2, dtype=complex), empty)
@@ -154,7 +173,7 @@ def test_pruned_ml_equals_exhaustive(seed, n, m, k, sigma2, rho, const, draw):
     H, W, rng = _system(seed, n=n, m=m, k=k)
     eta = 1.0 / n
     table = _table(H, W, constellation, sigma2, eta, rho)
-    Sigma = _dense_sigma(H, W, constellation, sigma2, eta, rho)
+    Sigma = _direct_stats(H, W, constellation, sigma2, eta, rho)[1]
     assert_allclose(table.norm, [np.linalg.norm(S, np.inf) for S in Sigma], rtol=1e-12)
     nv = 64
     if draw == "random":
@@ -168,9 +187,7 @@ def test_pruned_ml_equals_exhaustive(seed, n, m, k, sigma2, rho, const, draw):
             # every candidate at two or more table positions, shuffled
             pos = rng.permutation(np.r_[np.arange(table.n_candidates),
                                         rng.integers(0, table.n_candidates, table.n_candidates)])
-            table = CandidateTable(indices=table.indices[pos], mu=table.mu[pos],
-                                   inv_chol=table.inv_chol[pos],
-                                   logdet=table.logdet[pos], norm=table.norm[pos],
+            table = CandidateTable(**_fields(table, pos), inv_chol=table.inv_chol,
                                    rho=table.rho)
         S = constellation.points[table.indices[rng.integers(0, table.n_candidates, nv)]]
         D = (rng.standard_normal((nv, n)) + 1j * rng.standard_normal((nv, n))) * np.sqrt(sigma2 / 2)
@@ -201,9 +218,79 @@ def test_stacked_table_matches_term_by_term_route(seed, n, m, k, sigma2, rho):
     for c, x in enumerate(X):
         G = lmmse_gain(x, sigma2, eta)
         ns = noise_stats(H, x, G, sigma2, eta, rho)
-        L = np.linalg.inv(table.inv_chol[c])
+        L = _position_chol(table, c)
         assert np.max(np.abs(table.mu[c] - (np.sqrt(rho) * stack_ri(H @ G @ x) + ns.mu))) < 1e-10
         assert np.max(np.abs(L @ L.T - ns.Sigma)) < 1e-10
+
+
+def _close(got, want, rel=1e-12):
+    # within rel of the largest entry of want
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 8), m=st.integers(1, 6),
+       k=st.integers(1, 3), sigma2=st.floats(0.01, 10.0),
+       rho=st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+       const=st.sampled_from(["qpsk", "16qam", "single"]))
+@example(seed=7, n=6, m=3, k=2, sigma2=0.2, rho=5.0, const="16qam")
+@example(seed=8, n=8, m=6, k=3, sigma2=0.01, rho=1e4, const="qpsk")
+def test_quarter_table_matches_direct_full_build(seed, n, m, k, sigma2, rho, const):
+    # every table position against symbol_kernel + assemble_stats + chol_logdet
+    # over all L^K candidates, with no use of the quarter-turn symmetry
+    k = min(k, n, 2 if const == "16qam" else 3)
+    constellation = make_constellation(const)
+    H, W, _ = _system(seed, n=n, m=m, k=k)
+    eta = 1.0 / n
+    table = _table(H, W, constellation, sigma2, eta, rho)
+    mu, Sigma = _direct_stats(H, W, constellation, sigma2, eta, rho)
+    fac = chol_logdet(Sigma)
+    n_cand = constellation.size ** k
+    assert table.n_candidates == n_cand
+    assert table.inv_chol.shape[0] == (n_cand if const == "single" else n_cand // 4)
+    assert _close(table.mu, mu)
+    assert _close(table.logdet, fac.logdet)
+    assert _close(table.norm, np.linalg.norm(Sigma, np.inf, axis=(1, 2)))
+    for c in range(n_cand):
+        L = _position_chol(table, c)
+        assert _close(L @ L.T, Sigma[c])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 8), m=st.integers(1, 6),
+       k=st.integers(1, 3), sigma2=st.floats(0.01, 10.0),
+       rho=st.one_of(st.just(0.0), st.just(1e4), st.floats(0.0, 1e4)),
+       const=st.sampled_from(["qpsk", "16qam", "single"]),
+       draw=st.sampled_from(["model", "random"]))
+@example(seed=1, n=6, m=3, k=2, sigma2=0.1, rho=0.0, const="qpsk", draw="random")
+@example(seed=4, n=8, m=6, k=2, sigma2=0.01, rho=1e4, const="16qam", draw="model")
+def test_quarter_table_decisions_match_direct_full_table(seed, n, m, k, sigma2, rho,
+                                                          const, draw):
+    # pruned search on the quarter table against a brute-force argmin over a
+    # table built directly for all L^K candidates (ties to the lowest position)
+    k = min(k, n, 2 if const == "16qam" else 3)
+    constellation = make_constellation(const)
+    H, W, rng = _system(seed, n=n, m=m, k=k)
+    eta = 1.0 / n
+    table = _table(H, W, constellation, sigma2, eta, rho)
+    mu, Sigma = _direct_stats(H, W, constellation, sigma2, eta, rho)
+    fac = chol_logdet(Sigma)
+    nv = 64
+    if draw == "random":
+        Y = np.sqrt(1.0 + rho) * (rng.standard_normal((nv, m))
+                                  + 1j * rng.standard_normal((nv, m)))
+    else:
+        S = constellation.points[table.indices[rng.integers(0, table.n_candidates, nv)]]
+        D = (rng.standard_normal((nv, n)) + 1j * rng.standard_normal((nv, n))) * np.sqrt(sigma2 / 2)
+        Z = (rng.standard_normal((nv, m)) + 1j * rng.standard_normal((nv, m))) / np.sqrt(2)
+        Y = np.sqrt(rho) * quantize_1bit(S @ W.T + D, eta) @ H.T + Z
+    diff = stack_ri(Y)[None, :, :] - mu[:, None, :]            # (L^K, nv, 2M)
+    u = np.linalg.solve(fac.factor, diff.transpose(0, 2, 1))  # L^{-1} (y' - mu)
+    scores = (u ** 2).sum(axis=1) + fac.logdet[:, None]       # (L^K, nv)
+    got, _ = ml_detect_batch(Y, table)
+    assert np.array_equal(got, table.indices[np.argmin(scores, axis=0)])
+    if rho == 0.0:
+        assert np.all(got == table.indices[0])
 
 
 def test_per_vector_cost_flat_in_antenna_count():
