@@ -11,22 +11,20 @@ closed-form moment by brute-force simulation.
 __version__ = "0.1.0"
 
 from .core import (Constellation, FactorizationError, ParameterError,
-                   SingularityError, TopKSubspace, chol_logdet,
+                   SingularityError, TopKSubspace, chol_logdet, complex_normal,
                    make_constellation, qam16, qpsk, quantize_1bit, substream,
                    svd_topk)
-from .channel import (ChannelParams, ChannelRealization, draw_channel,
-                      draw_path_angles, make_precoder, realize_channel,
-                      steering)
-from .txchain import (TxConfig, TxRealization, bussgang_gain, cov_xd,
-                      cov_xq_unconditional, cov_y_unconditional, transmit)
+from .channel import (ChannelParams, draw_channel, draw_path_angles,
+                      make_precoder, steering)
+from .txchain import (bussgang_gain, cov_xd, cov_xq_unconditional,
+                      cov_y_unconditional)
 from .stats import (NoiseStats, SymbolKernel, assemble_stats, cov_pd,
                     cov_xq_cond, cross_corr_cond, cross_corr_cond_complex,
                     cross_dither_pd, embed, lmmse_gain, mean_pd, mean_xq_cond,
                     noise_stats, stack_ri, symbol_kernel)
-from .detect import (CandidateTable, DetectorResult, blmmse_combiner,
-                     build_candidate_kernels, build_candidate_table,
-                     enumerate_candidates, ml_detect, ml_detect_batch,
-                     slice_min_distance, slice_min_distance_batch)
+from .detect import (CandidateTable, blmmse_combiner, build_candidate_kernels,
+                     build_candidate_table, enumerate_candidates,
+                     ml_detect_batch, slice_min_distance_batch)
 from .oracle import (CheckRow, InstanceSpec, OracleEstimate,
                      closed_form_moments, default_instances,
                      mc_gaussian_loglike, mc_moment, self_check,

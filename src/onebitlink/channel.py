@@ -14,7 +14,7 @@ from numbers import Real
 
 import numpy as np
 
-from .core import ParameterError, TopKSubspace, svd_topk
+from .core import ParameterError, TopKSubspace, complex_normal, svd_topk
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,6 @@ class ChannelParams:
         if not (isinstance(spread, Real) and isfinite(spread) and spread >= 0):
             raise ParameterError(
                 f"angular spread must be a finite non-negative number, got {spread!r}")
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    H: np.ndarray                 # (n_rx, n_tx)
-    W: np.ndarray                 # (n_tx, n_streams), orthonormal columns
-    singular_values: np.ndarray   # (n_streams,), non-increasing
 
 
 def steering(n_antennas: int, angle, spacing: float = 0.5) -> np.ndarray:
@@ -75,7 +68,7 @@ def draw_channel(params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
     """
     p = params
     aoa, aod = draw_path_angles(p, rng)
-    gains = (rng.standard_normal(p.n_paths) + 1j * rng.standard_normal(p.n_paths)) / np.sqrt(2.0)
+    gains = complex_normal(rng, p.n_paths)
 
     a_rx = steering(p.n_rx, aoa, p.spacing)  # (M, P)
     a_tx = steering(p.n_tx, aod, p.spacing)  # (N, P)
@@ -86,9 +79,3 @@ def make_precoder(H: np.ndarray, n_streams: int) -> TopKSubspace:
     """Precoder = right singular vectors of H for the top n_streams modes."""
     return svd_topk(H, n_streams)
 
-
-def realize_channel(params: ChannelParams, n_streams: int,
-                    rng: np.random.Generator) -> ChannelRealization:
-    H = draw_channel(params, rng)
-    W, sv = make_precoder(H, n_streams)
-    return ChannelRealization(H, W, sv)

@@ -63,7 +63,11 @@ def _run_self_check(seed: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.self_check:
-        return _run_self_check(args.seed if args.seed is not None else 0)
+        try:
+            return _run_self_check(args.seed if args.seed is not None else 0)
+        except ParameterError as exc:
+            print(f"onebitlink: configuration error: {exc}", file=sys.stderr)
+            return 2
 
     try:
         layers = []

@@ -274,6 +274,11 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     keys yield statistically independent streams, so parallel work can be
     assigned stable per-unit randomness regardless of scheduling order.
     """
-    if any(k < 0 for k in key):
-        raise ParameterError("sub-stream key parts must be non-negative")
+    if seed < 0 or any(k < 0 for k in key):
+        raise ParameterError("seed and sub-stream key parts must be non-negative")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+
+
+def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """CN(0, 1) draws: Re then Im from rng, each of variance 1/2."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)

@@ -44,12 +44,6 @@ SURVIVOR_CAP = 2 ** 20
 
 
 @dataclass(frozen=True)
-class DetectorResult:
-    indices: np.ndarray  # (K,) per-stream constellation indices
-    score: float         # ML objective or slicer distance
-
-
-@dataclass(frozen=True)
 class CandidateTable:
     """Cached per-candidate receive statistics for one channel realization.
 
@@ -301,12 +295,6 @@ def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
     return table.indices[best], best_score
 
 
-def ml_detect(y: np.ndarray, table: CandidateTable) -> DetectorResult:
-    """ML decision for a single received vector (see ml_detect_batch)."""
-    idx, score = ml_detect_batch(np.asarray(y)[None, :], table)
-    return DetectorResult(indices=idx[0], score=float(score[0]))
-
-
 # ---------------------------------------------------------------------------
 # linearized-MMSE baseline
 # ---------------------------------------------------------------------------
@@ -334,8 +322,3 @@ def slice_min_distance_batch(S_soft: np.ndarray, constellation: Constellation):
     idx = np.argmin(d2, axis=-1)
     return idx, np.take_along_axis(d2, idx[..., None], axis=-1)[..., 0]
 
-
-def slice_min_distance(s_soft: np.ndarray, constellation: Constellation) -> DetectorResult:
-    """Slice one soft estimate vector; score is the summed squared distance."""
-    idx, d2 = slice_min_distance_batch(np.atleast_1d(np.asarray(s_soft)), constellation)
-    return DetectorResult(indices=idx, score=float(np.sum(d2)))

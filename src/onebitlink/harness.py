@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelParams, draw_channel, make_precoder
-from .core import ParameterError, make_constellation, quantize_1bit, substream
+from .core import (ParameterError, complex_normal, make_constellation, quantize_1bit,
+                   substream)
 from .detect import (MAX_TABLE, build_candidate_kernels, build_candidate_table,
                      ml_detect_batch, slice_min_distance_batch, blmmse_combiner)
 from .txchain import bussgang_gain, cov_xd, cov_xq_unconditional
@@ -145,10 +146,6 @@ def _as_list(v):
     return [v]
 
 
-def _cn(rng, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
 def _run_channel(cfg: ExperimentConfig, channel_index: int):
     """Error counts and wall seconds for one channel, keyed (point, detector)."""
     const = make_constellation(cfg.constellation)
@@ -162,8 +159,8 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
     true_digits = substream(cfg.seed, channel_index, SYMBOLS).integers(0, const.size, size=(nv, k))
     S = const.points[true_digits]
     X = S @ W.T
-    U = _cn(substream(cfg.seed, channel_index, DITHER), (nv, cfg.n_tx))
-    Z = _cn(substream(cfg.seed, channel_index, NOISE), (nv, cfg.n_rx))
+    U = complex_normal(substream(cfg.seed, channel_index, DITHER), (nv, cfg.n_tx))
+    Z = complex_normal(substream(cfg.seed, channel_index, NOISE), (nv, cfg.n_rx))
     guess_digits = None
     if "guess" in cfg.detectors:
         guess_digits = substream(cfg.seed, channel_index, GUESS).integers(0, const.size, size=(nv, k))
@@ -202,8 +199,10 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """Run the configured sweep; deterministic error counts for any worker count."""
     axis, points = cfg.sweep_points()
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, cfg.n_channels)
+    if workers > 1:
+        # the fork start method launches every worker at the first submit
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_channel, cfg, ci) for ci in range(cfg.n_channels)]
             per_channel = [f.result() for f in futures]
     else:

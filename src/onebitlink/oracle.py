@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, quantize_1bit, substream
+from .core import ParameterError, complex_normal, qam16, quantize_1bit, substream
 from .stats import (assemble_stats, cov_pd, cov_xq_cond, cross_corr_cond,
                     cross_dither_pd, embed, lmmse_gain, mean_pd, mean_xq_cond,
                     noise_stats, stack_ri, symbol_kernel)
-from .txchain import TxConfig, bussgang_gain, cov_xd, cov_xq_unconditional, cov_y_unconditional
+from .txchain import bussgang_gain, cov_xd, cov_xq_unconditional, cov_y_unconditional
 
 MIN_DRAWS = 10 ** 4
 
@@ -39,16 +39,6 @@ MIN_DRAWS = 10 ** 4
 # at ~log(1/alpha)/n) admits a deviation of order |closed|/draws; the factor
 # below covers single averages and sign products at alpha ~ exp(-25).
 SATURATION_ALLOWANCE = 50.0
-
-_CONDITIONAL_KINDS = frozenset({
-    "mean_xq", "cross_xd_xq", "cov_xq", "mean_pd", "cross_d_pd", "cov_pd",
-    "noise_mean", "noise_cov", "y_mean", "y_cov",
-})
-_GAUSS_KINDS = frozenset({
-    "cov_xd_gauss", "cross_xd_xq_gauss", "cov_xq_gauss", "cov_y_gauss",
-    "cross_qd_xd_gauss",
-})
-
 
 @dataclass(frozen=True)
 class OracleEstimate:
@@ -67,6 +57,16 @@ _OPERANDS = {
     "cov_xq_gauss": ("xq", "xq"), "cov_y_gauss": ("y", "y"),
     "cross_qd_xd_gauss": ("qd", "xd"),
 }
+# the *_gauss kinds average over Gaussian symbols, the rest fix the symbol
+_GAUSS_KINDS = frozenset(k for k in _OPERANDS if k.endswith("_gauss"))
+_CONDITIONAL_KINDS = frozenset(_OPERANDS) - _GAUSS_KINDS
+# arrays built from the residual pd, which is defined relative to the gain G
+_RESIDUAL = ("pd", "noise")
+
+
+def _reads(kinds, *names) -> bool:
+    """Whether any of `kinds` averages one of the arrays `names`."""
+    return any(not set(names).isdisjoint(_OPERANDS[k]) for k in kinds)
 
 
 class _MeanAcc:
@@ -136,13 +136,13 @@ def _normal_rows(rng, step, n, scale):
     return out.reshape(step, 2 * n)
 
 
-def _run_conditional(x, H, G, cfg: TxConfig, rho, draws, rng, kinds, chunk):
+def _run_conditional(x, H, G, sigma2, eta, rho, draws, rng, kinds, chunk):
     x = stack_ri(np.asarray(x, dtype=np.complex128))
     n = x.size // 2
     m = None if H is None else np.asarray(H).shape[0]
-    sig = np.sqrt(cfg.sigma2)
-    need_pd = kinds & {"mean_pd", "cross_d_pd", "cov_pd", "noise_mean", "noise_cov"}
-    need_rx = kinds & {"noise_mean", "noise_cov", "y_mean", "y_cov"}
+    sig = np.sqrt(sigma2)
+    need_pd = _reads(kinds, *_RESIDUAL)
+    need_rx = _reads(kinds, "noise", "y")
     if need_rx and H is None:
         raise ParameterError("receive-side kinds need the channel matrix H")
     if need_pd and G is None:
@@ -156,7 +156,7 @@ def _run_conditional(x, H, G, cfg: TxConfig, rho, draws, rng, kinds, chunk):
     for step in _chunks(draws, chunk):
         d = _normal_rows(rng, step, n, sig / np.sqrt(2))
         xd = x + d
-        xq = quantize_1bit(xd, cfg.eta)
+        xq = quantize_1bit(xd, eta)
         _feed(acc, {"xd": xd, "xq": xq})
         if need_pd:
             pd = xq - xd @ Ge
@@ -164,55 +164,56 @@ def _run_conditional(x, H, G, cfg: TxConfig, rho, draws, rng, kinds, chunk):
             _feed(acc, {"d": d, "pd": pd})
         if need_rx:
             z = _normal_rows(rng, step, m, 1 / np.sqrt(2))
-            if kinds & {"noise_mean", "noise_cov"}:
+            if _reads(kinds, "noise"):
                 _feed(acc, {"noise": np.sqrt(rho) * (d @ Te + pd @ He) + z})
-            if kinds & {"y_mean", "y_cov"}:
+            if _reads(kinds, "y"):
                 _feed(acc, {"y": np.sqrt(rho) * xq @ He + z})
 
     return {k: a.estimate() for k, a in acc.items()}
 
 
-def _run_gauss(W, H, cfg: TxConfig, rho, draws, rng, kinds, chunk):
+def _run_gauss(W, H, sigma2, eta, rho, draws, rng, kinds, chunk):
     W = np.asarray(W)
     n, k_streams = W.shape
     m = None if H is None else np.asarray(H).shape[0]
-    if kinds & {"cov_y_gauss"} and H is None:
+    if _reads(kinds, "y") and H is None:
         raise ParameterError("cov_y_gauss needs the channel matrix H")
-    sig = np.sqrt(cfg.sigma2)
+    sig = np.sqrt(sigma2)
     We = embed(W).T
     He = None if H is None else embed(H).T
     Be = None
-    if "cross_qd_xd_gauss" in kinds:
-        Be = embed(bussgang_gain(cov_xd(W, cfg.sigma2), cfg.eta)).T
+    if _reads(kinds, "qd"):
+        Be = embed(bussgang_gain(cov_xd(W, sigma2), eta)).T
 
     acc = _accumulators(kinds)
     for step in _chunks(draws, chunk):
         xd = _normal_rows(rng, step, k_streams, 1 / np.sqrt(2)) @ We
         xd += _normal_rows(rng, step, n, sig / np.sqrt(2))
-        xq = quantize_1bit(xd, cfg.eta)
+        xq = quantize_1bit(xd, eta)
         arrays = {"xd": xd, "xq": xq}
         if Be is not None:
             arrays["qd"] = xq - xd @ Be
         _feed(acc, arrays)
-        if "cov_y_gauss" in kinds:
+        if _reads(kinds, "y"):
             z = _normal_rows(rng, step, m, 1 / np.sqrt(2))
             _feed(acc, {"y": np.sqrt(rho) * xq @ He + z})
 
     return {k: a.estimate() for k, a in acc.items()}
 
 
-def mc_moment(kind: str, x=None, H=None, cfg: TxConfig = None, rho: float = 1.0,
+def mc_moment(kind: str, sigma2: float, eta: float, x=None, H=None, rho: float = 1.0,
               draws: int = 10 ** 5, rng: np.random.Generator = None,
               W=None, G=None, chunk: int = 200_000) -> OracleEstimate:
     """Monte-Carlo estimate (with standard errors) of one chain moment.
 
-    Conditional kinds fix the precoded vector x; the *_gauss kinds average
-    over Gaussian symbols through the precoder W. Residual kinds default G to
-    the closed-form linearization gain, since the residual is defined relative
-    to it.
+    sigma2 is the dither variance per antenna and eta the quantizer's
+    per-antenna output power. Conditional kinds fix the precoded vector x;
+    the *_gauss kinds average over Gaussian symbols through the precoder W.
+    Residual kinds default G to the closed-form linearization gain, since the
+    residual is defined relative to it.
     """
-    if cfg is None:
-        raise ParameterError("cfg is required")
+    if sigma2 < 0:
+        raise ParameterError("dither variance must be non-negative")
     if draws < MIN_DRAWS:
         raise ParameterError(f"draws must be at least {MIN_DRAWS}, got {draws}")
     if rng is None:
@@ -220,13 +221,13 @@ def mc_moment(kind: str, x=None, H=None, cfg: TxConfig = None, rho: float = 1.0,
     if kind in _CONDITIONAL_KINDS:
         if x is None:
             raise ParameterError(f"kind {kind!r} needs the fixed precoded vector x")
-        if G is None and kind in ("mean_pd", "cross_d_pd", "cov_pd", "noise_mean", "noise_cov"):
-            G = lmmse_gain(np.asarray(x, dtype=np.complex128), cfg.sigma2, cfg.eta)
-        return _run_conditional(x, H, G, cfg, rho, draws, rng, {kind}, chunk)[kind]
+        if G is None and _reads({kind}, *_RESIDUAL):
+            G = lmmse_gain(np.asarray(x, dtype=np.complex128), sigma2, eta)
+        return _run_conditional(x, H, G, sigma2, eta, rho, draws, rng, {kind}, chunk)[kind]
     if kind in _GAUSS_KINDS:
         if W is None:
             raise ParameterError(f"kind {kind!r} needs the precoder W")
-        return _run_gauss(W, H, cfg, rho, draws, rng, {kind}, chunk)[kind]
+        return _run_gauss(W, H, sigma2, eta, rho, draws, rng, {kind}, chunk)[kind]
     raise ParameterError(f"unknown oracle kind {kind!r}")
 
 
@@ -269,22 +270,21 @@ class CheckRow:
         return self.within / self.entries
 
 
-def closed_form_moments(x, H, W, G, cfg: TxConfig, rho: float) -> dict:
+def closed_form_moments(x, H, W, G, sigma2: float, eta: float, rho: float) -> dict:
     """All closed-form moments for one instance, keyed like the oracle kinds."""
-    s2, eta = cfg.sigma2, cfg.eta
-    ns = noise_stats(H, x, G, s2, eta, rho)
+    ns = noise_stats(H, x, G, sigma2, eta, rho)
     # the received statistics the detector consumes, gated as they are built
-    mu_y, Sigma_y = assemble_stats(symbol_kernel(H, x, s2, eta), rho)
-    C_xd_g = cov_xd(W, s2)
+    mu_y, Sigma_y = assemble_stats(symbol_kernel(H, x, sigma2, eta), rho)
+    C_xd_g = cov_xd(W, sigma2)
     B = bussgang_gain(C_xd_g, eta)
     C_xq_g = cov_xq_unconditional(C_xd_g, eta)
     return {
-        "mean_xq": stack_ri(mean_xq_cond(x, s2, eta)),
-        "cross_xd_xq": cross_corr_cond(x, s2, eta),
-        "cov_xq": cov_xq_cond(x, s2, eta),
-        "mean_pd": stack_ri(mean_pd(x, G, s2, eta)),
-        "cross_d_pd": cross_dither_pd(x, G, s2, eta),
-        "cov_pd": cov_pd(x, G, s2, eta),
+        "mean_xq": stack_ri(mean_xq_cond(x, sigma2, eta)),
+        "cross_xd_xq": cross_corr_cond(x, sigma2, eta),
+        "cov_xq": cov_xq_cond(x, sigma2, eta),
+        "mean_pd": stack_ri(mean_pd(x, G, sigma2, eta)),
+        "cross_d_pd": cross_dither_pd(x, G, sigma2, eta),
+        "cov_pd": cov_pd(x, G, sigma2, eta),
         "noise_mean": ns.mu,
         "noise_cov": ns.C,
         "y_mean": mu_y,
@@ -306,25 +306,22 @@ def validate_instance(spec: InstanceSpec, draws: int, se_mult: float = 4.0,
     sign averages whose plug-in stderr is exactly zero, and the tiny absolute
     floor covers entries the chain produces exactly.
     """
-    from .core import qam16
-
     rng = substream(spec.seed, 97)
     A = rng.standard_normal((spec.n_tx, spec.n_streams)) \
         + 1j * rng.standard_normal((spec.n_tx, spec.n_streams))
     W = np.linalg.qr(A)[0]
-    H = (rng.standard_normal((spec.n_rx, spec.n_tx))
-         + 1j * rng.standard_normal((spec.n_rx, spec.n_tx))) / np.sqrt(2)
+    H = complex_normal(rng, (spec.n_rx, spec.n_tx))
     pts = qam16().points
     s = pts[rng.integers(0, pts.size, spec.n_streams)]
     x = W @ s
 
-    cfg = TxConfig(sigma2=spec.sigma2, eta=1.0 / spec.n_tx, constellation=qam16())
-    G = lmmse_gain(x, cfg.sigma2, cfg.eta)
-    closed = closed_form_moments(x, H, W, G, cfg, spec.rho)
+    sigma2, eta = spec.sigma2, 1.0 / spec.n_tx
+    G = lmmse_gain(x, sigma2, eta)
+    closed = closed_form_moments(x, H, W, G, sigma2, eta, spec.rho)
 
-    cond = _run_conditional(x, H, G, cfg, spec.rho, draws, rng,
-                            set(_CONDITIONAL_KINDS), chunk)
-    gauss = _run_gauss(W, H, cfg, spec.rho, draws, rng, set(_GAUSS_KINDS), chunk)
+    cond = _run_conditional(x, H, G, sigma2, eta, spec.rho, draws, rng,
+                            _CONDITIONAL_KINDS, chunk)
+    gauss = _run_gauss(W, H, sigma2, eta, spec.rho, draws, rng, _GAUSS_KINDS, chunk)
     estimates = {**cond, **gauss}
 
     label = (f"N={spec.n_tx} M={spec.n_rx} K={spec.n_streams} "

@@ -1,61 +1,21 @@
-"""Transmit chain: linear precoding, Gaussian dithering, one-bit quantization.
+"""Symbol-averaged statistics of the transmit chain.
 
-Also provides the symbol-averaged (unconditional) second-order statistics of
-the chain: the dithered-signal covariance, the equivalent linear gain of the
-quantizer under a Gaussian-input assumption, and the quantizer output
-covariance reconstructed through the complex arcsine law.
+The chain precodes x = W s, adds Gaussian dither d ~ CN(0, sigma2 I) and
+quantizes each quadrature to one bit, quantize_1bit(x + d, eta); the
+harness runs it on whole batches of symbol vectors at once. This module
+gives its unconditional second-order statistics: the dithered-signal
+covariance, the equivalent linear gain of the quantizer under a
+Gaussian-input assumption, and the quantizer output covariance reconstructed
+through the complex arcsine law.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Constellation, ParameterError, SingularityError, quantize_1bit
+from .core import ParameterError, SingularityError
 
 _CLAMP = 1.0 - 1e-15
-
-
-@dataclass(frozen=True)
-class TxConfig:
-    sigma2: float            # dither variance per antenna
-    eta: float               # per-antenna output power of the quantizer
-    constellation: Constellation
-
-    def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ParameterError("dither variance must be non-negative")
-        if not self.eta > 0:
-            raise ParameterError("eta must be positive")
-
-
-@dataclass(frozen=True)
-class TxRealization:
-    s: np.ndarray    # (K,) data symbols
-    x: np.ndarray    # (N,) precoded signal W s
-    x_d: np.ndarray  # (N,) dithered signal x + d
-    x_q: np.ndarray  # (N,) one-bit quantizer output
-
-
-def transmit(W: np.ndarray, s: np.ndarray, cfg: TxConfig,
-             rng: np.random.Generator) -> TxRealization:
-    """Run one symbol vector through precoding, dithering, and quantization.
-
-    Requires eta = 1/n_tx so the transmitted vector has unit power.
-    """
-    W = np.asarray(W)
-    s = np.asarray(s, dtype=np.complex128)
-    n_tx = W.shape[0]
-    if s.shape != (W.shape[1],):
-        raise ParameterError(f"symbol vector shape {s.shape} does not match precoder {W.shape}")
-    if abs(cfg.eta * n_tx - 1.0) > 1e-9:
-        raise ParameterError(f"eta must equal 1/n_tx = 1/{n_tx}, got {cfg.eta}")
-    x = W @ s
-    scale = np.sqrt(cfg.sigma2 / 2.0)
-    d = scale * (rng.standard_normal(n_tx) + 1j * rng.standard_normal(n_tx))
-    x_d = x + d
-    return TxRealization(s=s, x=x, x_d=x_d, x_q=quantize_1bit(x_d, cfg.eta))
 
 
 def cov_xd(W: np.ndarray, sigma2: float) -> np.ndarray:

@@ -3,8 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from onebitlink.channel import (ChannelParams, draw_channel,
-                                draw_path_angles, make_precoder,
-                                realize_channel, steering)
+                                draw_path_angles, make_precoder, steering)
 from onebitlink.core import ParameterError, qam16, substream
 
 
@@ -165,16 +164,6 @@ def test_precoded_symbol_energy_equals_stream_count():
             energy += np.linalg.norm(W @ np.array([a, b])) ** 2
     energy /= pts.size ** 2
     assert energy == pytest.approx(2.0, rel=1e-12)
-
-
-def test_realize_channel_bundles_consistent_pieces():
-    params = ChannelParams(n_rx=3, n_tx=6)
-    real = realize_channel(params, 2, substream(4, 0))
-    assert real.H.shape == (3, 6)
-    assert real.W.shape == (6, 2)
-    ref = make_precoder(real.H, 2)
-    assert_allclose(real.W, ref.vectors, atol=1e-13)
-    assert_allclose(real.singular_values, ref.singular_values, atol=1e-13)
 
 
 def test_channel_params_validation():

@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose
 
 import onebitlink
 from onebitlink.core import (Constellation, FactorizationError, ParameterError,
-                             chol_logdet, make_constellation, qam16, qpsk,
-                             quantize_1bit, substream, svd_topk, tril_inv)
+                             chol_logdet, complex_normal, make_constellation, qam16,
+                             qpsk, quantize_1bit, substream, svd_topk, tril_inv)
 from onebitlink.stats import stack_ri
 
 # ---------------------------------------------------------------------------
@@ -322,3 +322,17 @@ def test_substream_reproducible_and_disjoint():
 def test_substream_rejects_negative_key():
     with pytest.raises(ParameterError):
         substream(1, -2)
+    with pytest.raises(ParameterError):
+        substream(-1, 97)
+
+
+def test_complex_normal_has_unit_variance_split_evenly():
+    z = complex_normal(substream(12, 0), (200_000,))
+    se = np.sqrt(2.0 / z.size) * 0.5  # stderr of a sample variance of 1/2
+    assert abs(np.var(z.real) - 0.5) < 4 * se
+    assert abs(np.var(z.imag) - 0.5) < 4 * se
+    assert abs(np.mean(z.real * z.imag)) < 4 * 0.5 / np.sqrt(z.size)
+    # Re then Im from the stream, scaled by 1/sqrt(2)
+    rng = substream(12, 0)
+    re, im = rng.standard_normal(200_000), rng.standard_normal(200_000)
+    assert np.array_equal(z, (re + 1j * im) / np.sqrt(2.0))

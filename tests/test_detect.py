@@ -11,9 +11,8 @@ from onebitlink.core import (ParameterError, chol_logdet, make_constellation, qa
                              quantize_1bit, substream)
 from onebitlink.detect import (CandidateTable, build_candidate_kernels,
                                build_candidate_table, blmmse_combiner,
-                               enumerate_candidates, ml_detect,
-                               ml_detect_batch, ml_detect_exhaustive,
-                               slice_min_distance, slice_min_distance_batch)
+                               enumerate_candidates, ml_detect_batch,
+                               ml_detect_exhaustive, slice_min_distance_batch)
 from onebitlink.oracle import mc_gaussian_loglike
 from onebitlink.stats import (assemble_stats, embed, lmmse_gain, noise_stats, stack_ri,
                               symbol_kernel)
@@ -85,17 +84,6 @@ def test_ml_matches_dense_inverse_oracle():
         assert scores[t] == pytest.approx(objs[want], rel=1e-8)
 
 
-def test_ml_single_vector_agrees_with_batch():
-    H, W, rng = _system(2)
-    table = _table(H, W, qpsk(), 0.1, 1.0 / 6, 2.0)
-    y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    res = ml_detect(y, table)
-    idx, score = ml_detect_batch(y[None, :], table)
-    assert np.array_equal(res.indices, idx[0])
-    assert res.score == pytest.approx(float(score[0]))
-    assert res.indices.shape == (1,)
-
-
 def test_ml_invariant_to_constant_logdet_shift():
     H, W, rng = _system(3)
     table = _table(H, W, qam16(), 0.08, 1.0 / 6, 4.0)
@@ -109,9 +97,10 @@ def test_ml_invariant_to_constant_logdet_shift():
 def test_ml_degenerate_single_candidate():
     H, W, rng = _system(4)
     table = _table(H, W, make_constellation("single"), 0.1, 1.0 / 6, 1.0)
-    res = ml_detect(rng.standard_normal(2) + 1j * rng.standard_normal(2), table)
-    assert np.array_equal(res.indices, [0])
-    assert np.isfinite(res.score)
+    y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    idx, score = ml_detect_batch(y[None], table)
+    assert np.array_equal(idx, [[0]])
+    assert np.isfinite(score[0])
 
 
 def test_ml_prefers_own_mean_and_breaks_ties_low():
@@ -140,8 +129,8 @@ def test_ml_prefers_own_mean_and_breaks_ties_low():
     m = H.shape[0]
     for c in range(4):
         y = shared.mu[c][:m] + 1j * shared.mu[c][m:]
-        res = ml_detect(y, shared)
-        assert np.array_equal(res.indices, shared.indices[c])
+        idx, _ = ml_detect_batch(y[None], shared)
+        assert np.array_equal(idx[0], shared.indices[c])
 
 
 def test_ml_rejects_empty_table():
@@ -150,7 +139,7 @@ def test_ml_rejects_empty_table():
     empty = CandidateTable(**_fields(base, slice(0, 0)), inv_chol=base.inv_chol[:0],
                            rho=base.rho)
     with pytest.raises(ParameterError):
-        ml_detect(np.zeros(2, dtype=complex), empty)
+        ml_detect_batch(np.zeros((1, 2), dtype=complex), empty)
     with pytest.raises(ParameterError):
         ml_detect_exhaustive(np.zeros((1, 2), dtype=complex), empty)
 
@@ -318,12 +307,12 @@ def test_per_vector_cost_flat_in_antenna_count():
 
 def test_slicer_exact_points_and_zero_tiebreak():
     c = qam16()
-    res = slice_min_distance(c.points[[7, 2]], c)
-    assert np.array_equal(res.indices, [7, 2])
-    assert res.score == pytest.approx(0.0, abs=1e-18)
+    idx, d2 = slice_min_distance_batch(c.points[[7, 2]], c)
+    assert np.array_equal(idx, [7, 2])
+    assert np.all(d2 <= 1e-18)
     # the origin ties the four innermost points; lowest index wins
-    res0 = slice_min_distance(np.zeros(1, dtype=complex), c)
-    assert res0.indices[0] == 5
+    idx0, _ = slice_min_distance_batch(np.zeros(1, dtype=complex), c)
+    assert idx0[0] == 5
     assert c.points[5] == pytest.approx((-1 - 1j) / np.sqrt(10))
 
 

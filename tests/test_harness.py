@@ -151,6 +151,39 @@ def test_worker_counts_agree():
     assert csv_equal_ignoring_timing(to_csv_text(r1), to_csv_text(r2))
 
 
+def test_pool_opens_no_more_workers_than_channels(monkeypatch):
+    # a fake pool records its size and runs each task inline, so no process
+    # is started whatever the configured worker count
+    from concurrent.futures import Future
+
+    from onebitlink import harness
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    serial = run_sweep(_tiny(n_channels=2, workers=1))
+    capped = run_sweep(_tiny(n_channels=2, workers=5000))
+    assert sizes == [2]
+    assert [r.errors for r in capped.rows] == [r.errors for r in serial.rows]
+    run_sweep(_tiny(n_channels=1, workers=8))  # one channel runs in-process
+    assert sizes == [2]
+
+
 def test_trials_accounting_per_stream():
     rep = run_sweep(_tiny(n_streams=2, detectors=("blmmse",)))
     assert rep.rows[0].trials == 2 * 300 * 2
@@ -328,6 +361,8 @@ def test_cli_config_file_with_flag_override(tmp_path):
 def test_cli_rejects_bad_configuration(tmp_path):
     assert main(["--n", "4", "--m", "2", "--k", "3"]) == 2
     assert main(["--detectors", "zf"]) == 2
+    assert main(["--seed", "-1"]) == 2
+    assert main(["--self-check", "--seed", "-1"]) == 2
     assert main(["--config", "/nonexistent/path.cfg"]) == 2
     assert main(["--n", "8", "--m", "2", "--snr-db", "nan"]) == 2
     small = ["--n", "8", "--m", "2", "--channels", "1", "--symbols", "20"]

@@ -9,37 +9,39 @@ from onebitlink.oracle import (SATURATION_ALLOWANCE, InstanceSpec,
                                mc_gaussian_loglike, mc_moment,
                                validate_instance)
 from onebitlink.stats import lmmse_gain, mean_xq_cond, stack_ri
-from onebitlink.txchain import TxConfig
 
 
-def _cfg(sigma2=0.4, n=3):
-    return TxConfig(sigma2=sigma2, eta=1.0 / n, constellation=qam16())
+def _params(sigma2=0.4, n=3):
+    # dither variance and quantizer output power of an n-antenna chain
+    return dict(sigma2=sigma2, eta=1.0 / n)
 
 
 def test_mc_moment_enforces_draw_floor():
     with pytest.raises(ParameterError):
-        mc_moment("mean_xq", x=np.zeros(3, dtype=complex), cfg=_cfg(), draws=9999)
+        mc_moment("mean_xq", x=np.zeros(3, dtype=complex), **_params(), draws=9999)
 
 
 def test_mc_moment_rejects_unknown_kind_and_missing_args():
     with pytest.raises(ParameterError):
-        mc_moment("mean_xd", x=np.zeros(3, dtype=complex), cfg=_cfg())
+        mc_moment("mean_xd", x=np.zeros(3, dtype=complex), **_params())
     with pytest.raises(ParameterError):
-        mc_moment("mean_xq", cfg=_cfg())  # conditional kinds need x
+        mc_moment("mean_xq", **_params())  # conditional kinds need x
     with pytest.raises(ParameterError):
-        mc_moment("cov_xq_gauss", cfg=_cfg())  # gauss kinds need W
+        mc_moment("cov_xq_gauss", **_params())  # gauss kinds need W
+    with pytest.raises(ParameterError):
+        mc_moment("mean_xq", x=np.zeros(3, dtype=complex), **_params(sigma2=-0.1))
 
 
 def test_mc_moment_is_deterministic_given_stream():
     x = np.array([0.2 - 0.1j, -0.4 + 0.3j, 0.1 + 0.1j])
-    a = mc_moment("mean_xq", x=x, cfg=_cfg(), draws=10 ** 4, rng=substream(5, 1))
-    b = mc_moment("mean_xq", x=x, cfg=_cfg(), draws=10 ** 4, rng=substream(5, 1))
+    a = mc_moment("mean_xq", x=x, **_params(), draws=10 ** 4, rng=substream(5, 1))
+    b = mc_moment("mean_xq", x=x, **_params(), draws=10 ** 4, rng=substream(5, 1))
     assert np.array_equal(a.value, b.value)
     assert a.draws == 10 ** 4
 
 
 def test_mc_moment_zero_signal_mean():
-    est = mc_moment("mean_xq", x=np.zeros(3, dtype=complex), cfg=_cfg(),
+    est = mc_moment("mean_xq", x=np.zeros(3, dtype=complex), **_params(),
                     draws=10 ** 5, rng=substream(5, 2))
     assert np.all(np.abs(est.value) <= 4 * est.stderr + 1e-12)
     assert np.all(np.isfinite(est.stderr))
@@ -49,11 +51,10 @@ def test_saturated_sign_average_needs_allowance():
     # dither far below the symbol: every draw emits the same sign, the
     # plug-in stderr is exactly zero, yet the closed form still sits
     # erfc(|x|/sigma) away; the saturation allowance must absorb that gap
-    cfg = TxConfig(sigma2=0.01, eta=0.5, constellation=qam16())
     x = np.array([0.45 + 0.45j])
     draws = 10 ** 4
-    est = mc_moment("mean_xq", x=x, cfg=cfg, draws=draws, rng=substream(70, 0))
-    closed = mean_xq_cond(x, cfg.sigma2, cfg.eta)
+    est = mc_moment("mean_xq", 0.01, 0.5, x=x, draws=draws, rng=substream(70, 0))
+    closed = mean_xq_cond(x, 0.01, 0.5)
     target = np.concatenate([closed.real, closed.imag])
     err = np.abs(target - est.value)
     assert np.all(est.stderr == 0.0)
@@ -66,7 +67,7 @@ def test_mc_moment_constant_modulus_diagonal():
     # so the sample estimate collapses to it with zero spread
     n = 4
     x = np.array([0.3, -0.2, 0.5, 0.1]) + 1j * np.array([0.0, 0.4, -0.3, 0.2])
-    est = mc_moment("cov_xq", x=x, cfg=_cfg(n=n), draws=10 ** 4, rng=substream(5, 3))
+    est = mc_moment("cov_xq", x=x, **_params(n=n), draws=10 ** 4, rng=substream(5, 3))
     diag = np.diag(est.value)[:n]
     assert_allclose(diag, (1.0 / n) / 2, atol=1e-12)
     assert np.all(np.diag(est.stderr)[:n] <= 1e-12)
@@ -77,18 +78,18 @@ def test_mc_moment_noise_cov_at_zero_snr_is_awgn():
     n, m = 3, 2
     x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 0.3
     H = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
-    est = mc_moment("noise_cov", x=x, H=H, cfg=_cfg(n=n), rho=0.0,
+    est = mc_moment("noise_cov", x=x, H=H, **_params(n=n), rho=0.0,
                     draws=10 ** 5, rng=rng)
     assert np.all(np.abs(est.value - 0.5 * np.eye(2 * m)) <= 4 * est.stderr + 1e-12)
 
 
-def _complex_chain_moment(kind, x, H, G, W, cfg, rho, draws, chunk, rng):
+def _complex_chain_moment(kind, x, H, G, W, sigma2, eta, rho, draws, chunk, rng):
     """E[a a^T] of the stacked chain output, by complex arithmetic.
 
     A test-only reference: each complex draw is a Re-then-Im pair of
     standard_normal calls, in the order s, d, z within a chunk.
     """
-    sig = np.sqrt(cfg.sigma2)
+    sig = np.sqrt(sigma2)
 
     def cn(shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -98,12 +99,12 @@ def _complex_chain_moment(kind, x, H, G, W, cfg, rho, draws, chunk, rng):
         step = min(chunk, draws - start)
         if kind == "cov_y_gauss":
             s = cn((step, W.shape[1])) / np.sqrt(2)
-            xq = quantize_1bit(s @ W.T + cn((step, W.shape[0])) * (sig / np.sqrt(2)), cfg.eta)
+            xq = quantize_1bit(s @ W.T + cn((step, W.shape[0])) * (sig / np.sqrt(2)), eta)
             a = np.sqrt(rho) * xq @ H.T + cn((step, H.shape[0])) / np.sqrt(2)
         else:
             d = cn((step, x.size)) * (sig / np.sqrt(2))
             xd = x + d
-            a = quantize_1bit(xd, cfg.eta) - xd @ G.T
+            a = quantize_1bit(xd, eta) - xd @ G.T
             if kind == "noise_cov":
                 a = np.sqrt(rho) * (d @ (H @ G).T + a @ H.T) + cn((step, H.shape[0])) / np.sqrt(2)
         a = stack_ri(a)
@@ -119,12 +120,13 @@ def test_mc_moment_keeps_the_complex_draw_stream():
     W = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
     H = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
     x = W @ qam16().points[[3, 9]]
-    cfg = _cfg(sigma2=0.3, n=n)
-    G = lmmse_gain(x, cfg.sigma2, cfg.eta)
+    sigma2, eta = 0.3, 1.0 / n
+    G = lmmse_gain(x, sigma2, eta)
     for kind in ("cov_pd", "noise_cov", "cov_y_gauss"):
-        est = mc_moment(kind, x=x, H=H, G=G, W=W, cfg=cfg, rho=2.0, draws=10 ** 4,
+        est = mc_moment(kind, sigma2, eta, x=x, H=H, G=G, W=W, rho=2.0, draws=10 ** 4,
                         rng=substream(8, 1), chunk=4000)
-        ref = _complex_chain_moment(kind, x, H, G, W, cfg, 2.0, 10 ** 4, 4000, substream(8, 1))
+        ref = _complex_chain_moment(kind, x, H, G, W, sigma2, eta, 2.0, 10 ** 4, 4000,
+                                    substream(8, 1))
         assert_allclose(est.value, ref, rtol=1e-12, atol=0, err_msg=kind)
 
 
@@ -159,11 +161,9 @@ def test_closed_form_moments_cover_every_oracle_kind():
     H = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
     s = qam16().points[[4]]
     x = W @ s
-    cfg = _cfg(n=n)
-    from onebitlink.stats import lmmse_gain
-
-    G = lmmse_gain(x, cfg.sigma2, cfg.eta)
-    closed = closed_form_moments(x, H, W, G, cfg, rho=2.0)
+    sigma2, eta = 0.4, 1.0 / n
+    G = lmmse_gain(x, sigma2, eta)
+    closed = closed_form_moments(x, H, W, G, sigma2, eta, rho=2.0)
     assert set(closed) == _CONDITIONAL_KINDS | _GAUSS_KINDS
     for name, val in closed.items():
         assert np.all(np.isfinite(val)), name

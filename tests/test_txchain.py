@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from onebitlink.core import ParameterError, SingularityError, qam16, quantize_1bit, substream
-from onebitlink.txchain import (TxConfig, bussgang_gain, cov_xd,
-                                cov_xq_unconditional, cov_y_unconditional,
-                                transmit)
+from onebitlink.core import (SingularityError, complex_normal, qam16, quantize_1bit,
+                             substream)
+from onebitlink.txchain import (bussgang_gain, cov_xd, cov_xq_unconditional,
+                                cov_y_unconditional)
 
 
-def _cfg(sigma2, n):
-    return TxConfig(sigma2=sigma2, eta=1.0 / n, constellation=qam16())
+def _chain(W, S, sigma2, eta, rng):
+    """Rows (x_d, x_q) of the transmit chain as the sweep runs it on S's rows."""
+    Xd = S @ W.T + np.sqrt(sigma2) * complex_normal(rng, (S.shape[0], W.shape[0]))
+    return Xd, quantize_1bit(Xd, eta)
 
 
 def _random_w(rng, n, k):
@@ -118,19 +120,15 @@ def test_cov_y_unconditional_shape_and_floor():
 
 def test_transmit_deterministic_and_consistent():
     rng = substream(3, 0)
-    n = 8
+    n, sigma2, eta = 8, 0.1, 1.0 / 8
     W = _random_w(rng, n, 2)
-    cfg = _cfg(0.1, n)
-    s = qam16().points[[3, 11]]
-    r1 = transmit(W, s, cfg, substream(9, 0))
-    r2 = transmit(W, s, cfg, substream(9, 0))
-    assert np.array_equal(r1.x_q, r2.x_q)
-    assert_allclose(r1.x, W @ s, atol=1e-15)
-    assert np.array_equal(r1.x_q, quantize_1bit(r1.x_d, cfg.eta))
+    S = np.repeat(qam16().points[[[3, 11]]], 400, axis=0)
+    Xd1, Xq1 = _chain(W, S, sigma2, eta, substream(9, 0))
+    Xd2, Xq2 = _chain(W, S, sigma2, eta, substream(9, 0))
+    assert np.array_equal(Xd1, Xd2) and np.array_equal(Xq1, Xq2)
     # dither variance sanity: ||x_d - x||^2 has mean n*sigma2
-    devs = [np.linalg.norm(transmit(W, s, cfg, substream(9, t)).x_d - r1.x) ** 2
-            for t in range(400)]
-    assert np.mean(devs) == pytest.approx(n * cfg.sigma2, rel=0.15)
+    devs = np.linalg.norm(Xd1 - W @ S[0], axis=1) ** 2
+    assert np.mean(devs) == pytest.approx(n * sigma2, rel=0.15)
 
 
 def test_transmit_dithered_second_moment():
@@ -138,12 +136,9 @@ def test_transmit_dithered_second_moment():
     rng = substream(3, 5)
     n, sigma2 = 2, 0.5
     W = _random_w(rng, n, 1)
-    cfg = _cfg(sigma2, n)
     s = qam16().points[[7]]
     draws = 30_000
-    Xd = np.empty((draws, n), dtype=complex)
-    for t in range(draws):
-        Xd[t] = transmit(W, s, cfg, rng).x_d
+    Xd, _ = _chain(W, np.repeat(s[None], draws, axis=0), sigma2, 1.0 / n, rng)
     prods = Xd[:, :, None] * Xd.conj()[:, None, :]
     target = np.outer(W @ s, (W @ s).conj()) + sigma2 * np.eye(n)
     se = prods.std(axis=0) / np.sqrt(draws)
@@ -153,39 +148,17 @@ def test_transmit_dithered_second_moment():
 def test_transmit_zero_dither_is_pure_quantization():
     rng = substream(3, 1)
     W = _random_w(rng, 4, 1)
-    cfg = TxConfig(sigma2=0.0, eta=0.25, constellation=qam16())
-    r = transmit(W, qam16().points[[5]], cfg, rng)
-    assert np.array_equal(r.x_d, r.x)
-    assert np.array_equal(r.x_q, quantize_1bit(r.x, 0.25))
+    S = qam16().points[[[5]]]
+    Xd, Xq = _chain(W, S, 0.0, 0.25, rng)
+    assert np.array_equal(Xd, S @ W.T)
+    assert np.array_equal(Xq, quantize_1bit(S @ W.T, 0.25))
 
 
 def test_transmit_zero_symbol_gives_unbiased_signs():
     rng = substream(3, 2)
     n = 4
     W = _random_w(rng, n, 1)
-    cfg = _cfg(0.5, n)
-    s = np.zeros(1, dtype=complex)
     draws = 4000
-    signs = np.empty((draws, n))
-    for t in range(draws):
-        signs[t] = np.sign(transmit(W, s, cfg, substream(10, t)).x_q.real)
-    freq = (signs > 0).mean(axis=0)
+    _, Xq = _chain(W, np.zeros((draws, 1), dtype=complex), 0.5, 1.0 / n, substream(10, 0))
+    freq = (Xq.real > 0).mean(axis=0)
     assert np.all(np.abs(freq - 0.5) < 4 * 0.5 / np.sqrt(draws))
-
-
-def test_transmit_validates_inputs():
-    rng = substream(3, 3)
-    W = _random_w(rng, 4, 2)
-    cfg = _cfg(0.1, 4)
-    with pytest.raises(ParameterError):
-        transmit(W, np.zeros(3, dtype=complex), cfg, rng)  # wrong stream count
-    bad_cfg = TxConfig(sigma2=0.1, eta=0.5, constellation=qam16())
-    with pytest.raises(ParameterError):
-        transmit(W, np.zeros(2, dtype=complex), bad_cfg, rng)  # eta vs n_tx
-
-
-def test_txconfig_validation():
-    with pytest.raises(ParameterError):
-        TxConfig(sigma2=-0.1, eta=0.25, constellation=qam16())
-    with pytest.raises(ParameterError):
-        TxConfig(sigma2=0.1, eta=0.0, constellation=qam16())
