@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .core import ParameterError, SingularityError, FactorizationError
 from .harness import build_config, parse_config_file, parse_grid, run_sweep, write_csv
@@ -63,6 +64,12 @@ def _run_self_check(seed: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.self_check:
+        sweep_flags = ["--" + name.replace("_", "-") for name, value in vars(args).items()
+                       if value is not None and name not in ("seed", "self_check")]
+        if sweep_flags:
+            print(f"onebitlink: configuration error: --self-check takes only --seed, "
+                  f"not {', '.join(sweep_flags)}", file=sys.stderr)
+            return 2
         try:
             return _run_self_check(args.seed if args.seed is not None else 0)
         except ParameterError as exc:
@@ -75,6 +82,8 @@ def main(argv=None) -> int:
             layers.append(parse_config_file(args.config))
         layers.append(_cli_overrides(args))
         cfg = build_config(*layers)
+        if cfg.output and not Path(cfg.output).parent.is_dir():
+            raise ParameterError(f"output {cfg.output!r}: its parent is not a directory")
     except (ParameterError, OSError) as exc:
         print(f"onebitlink: configuration error: {exc}", file=sys.stderr)
         return 2
@@ -90,7 +99,12 @@ def main(argv=None) -> int:
               f"errors={row.errors}/{row.trials} ser={row.ser:.3e} "
               f"seconds={row.seconds:.2f}")
     if cfg.output:
-        write_csv(report, cfg.output)
+        try:
+            write_csv(report, cfg.output)
+        except OSError as exc:
+            print(f"onebitlink: cannot write {cfg.output}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 1
         print(f"wrote {cfg.output}")
     return 0
 

@@ -232,19 +232,20 @@ def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
             + max(||y'-mu_c||^2 - s (||y'||^2 + ||mu_c||^2), 0) / n_c
 
     with s = BOUND_SLACK, so the rounding of the expansion and of the exact
-    scores cannot rule out the winner. Each vector's lowest-bound candidate
-    is scored exactly; that score is the vector's threshold, and every
-    candidate whose bound does not exceed it is scored exactly with the same
-    arithmetic as `ml_detect_exhaustive`, one product per orbit across the
-    vectors. The minimum over those is the exhaustive minimum. Scores can
-    differ from the exhaustive ones by rounding only, because a product
-    over a subset of the rows need not round like one over all of them.
+    scores cannot rule out the winner. The vectors go in blocks of
+    BLOCK_ENTRIES bound entries. In each block, every vector's lowest-bound
+    candidate is scored exactly; that score is the vector's threshold, and
+    every candidate whose bound does not exceed it survives. Survivors are
+    held across blocks, up to SURVIVOR_CAP pairs, and scored exactly with
+    the same arithmetic as `ml_detect_exhaustive`, one product per orbit
+    across the vectors. The minimum over those is the exhaustive minimum.
+    Scores can differ from the exhaustive ones by rounding only, because a
+    product over a subset of the rows need not round like one over all of
+    them.
     """
     Yt = _turned_rows(Y, table)
     Yp = Yt[0]
-    n, n_cand = Yp.shape[0], table.n_candidates
-    if n == 0:
-        return table.indices[:0], np.empty(0)
+    n = Yp.shape[0]
     shrink = 1.0 - BOUND_SLACK
     yy = shrink * np.einsum("ij,ij->i", Yp, Yp)
     mm = shrink * np.einsum("ij,ij->i", table.mu, table.mu)
@@ -252,31 +253,27 @@ def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
     inv_norm = 1.0 / table.norm
     mu2 = 2.0 * table.mu.T
 
-    def lower_bounds(block):
-        d2 = yy[block, None] + mm - Yp[block] @ mu2
-        np.maximum(d2, 0.0, out=d2)
-        d2 *= inv_norm
-        d2 += base
-        return d2
-
-    step = max(1, BLOCK_ENTRIES // n_cand)
-    blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    first = np.concatenate([np.argmin(lower_bounds(b), axis=1) for b in blocks])
-    threshold = np.empty(n)
-    for rows in _groups(table.orbit[first]):
-        threshold[rows] = _score(Yt, table, rows, first[rows])
-
+    step = max(1, BLOCK_ENTRIES // table.n_candidates)
     best_score = np.full(n, np.inf)
     best = np.zeros(n, dtype=np.int64)
     held, n_held = [], 0
-    for i, b in enumerate(blocks):
-        keep = lower_bounds(b) <= threshold[b, None]
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        bound = yy[lo:hi, None] + mm - Yp[lo:hi] @ mu2
+        np.maximum(bound, 0.0, out=bound)
+        bound *= inv_norm
+        bound += base
+        first = np.argmin(bound, axis=1)
+        threshold = np.empty(hi - lo)
+        for pos in _groups(table.orbit[first]):
+            threshold[pos] = _score(Yt, table, pos + lo, first[pos])
+        keep = bound <= threshold[:, None]
         # the threshold's own candidate, so no vector is left unscored
-        keep[np.arange(keep.shape[0]), first[b]] = True
+        keep[np.arange(hi - lo), first] = True
         rows, cands = np.nonzero(keep)
-        held.append((rows + b.start, cands))
+        held.append((rows + lo, cands))
         n_held += rows.size
-        if i + 1 < len(blocks) and n_held < SURVIVOR_CAP:
+        if hi < n and n_held < SURVIVOR_CAP:
             continue
         rows, cands = (np.concatenate(part) for part in zip(*held))
         held, n_held = [], 0

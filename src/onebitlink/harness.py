@@ -165,29 +165,30 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
     if "guess" in cfg.detectors:
         guess_digits = substream(cfg.seed, channel_index, GUESS).integers(0, const.size, size=(nv, k))
 
-    # Per-dither pieces, built at the first grid point that needs them and
-    # reused at every SNR point of the same dither power, so their build time
-    # is charged to that first point.
-    kernel_cache = {}
-    combiner_cache = {}
+    # What depends on the dither power alone lives while that power is in use.
+    # The rows are quantized once per run of equal sigma2; the ML kernels and
+    # BLMMSE pieces are built at the first point whose detector needs them,
+    # which is charged their build time.
     out = {}
+    current = None
     for idx, (_, sigma2, rho) in enumerate(cfg.sweep_points()[1]):
-        Xq = quantize_1bit(X + np.sqrt(sigma2) * U, eta)
+        if sigma2 != current:
+            current = sigma2
+            Xq = quantize_1bit(X + np.sqrt(sigma2) * U, eta)
+            kernels = combiner = None
         Y = np.sqrt(rho) * Xq @ H.T + Z
         for det in cfg.detectors:
             t0 = time.perf_counter()
             if det == "ml":
-                if sigma2 not in kernel_cache:
-                    kernel_cache[sigma2] = build_candidate_kernels(H, W, const, sigma2, eta)
-                table = build_candidate_table(kernel_cache[sigma2], rho)
+                if kernels is None:
+                    kernels = build_candidate_kernels(H, W, const, sigma2, eta)
+                table = build_candidate_table(kernels, rho)
                 decided = ml_detect_batch(Y, table)[0]
             elif det == "blmmse":
-                if sigma2 not in combiner_cache:
+                if combiner is None:
                     C_xd = cov_xd(W, sigma2)
-                    combiner_cache[sigma2] = (bussgang_gain(C_xd, eta),
-                                              cov_xq_unconditional(C_xd, eta))
-                B, C_xq = combiner_cache[sigma2]
-                V = blmmse_combiner(H, W, B, C_xq, rho)
+                    combiner = bussgang_gain(C_xd, eta), cov_xq_unconditional(C_xd, eta)
+                V = blmmse_combiner(H, W, *combiner, rho)
                 decided = slice_min_distance_batch(Y @ V.conj(), const)[0]
             else:
                 decided = guess_digits

@@ -47,3 +47,22 @@ def test_a_tiny_sweep_and_oracle_run_fire_every_required_span(monkeypatch):
                            + workloads.ORACLE_SPANS)
     # the tracer puts every wrapped function back on exit
     assert not hasattr(harness.quantize_1bit, "__wrapped__")
+
+
+def test_dither_pieces_are_built_once_per_dither_power(monkeypatch):
+    tracing = _load("tracing", monkeypatch)
+    for grid in ({"rho_db": 5.0, "dither_dbm": (-2.0, 4.0)},
+                 {"rho_db": (0.0, 10.0), "dither_dbm": 2.0}):
+        cfg = harness.ExperimentConfig(n_tx=8, n_rx=2, n_channels=2, n_symbol_vectors=8,
+                                       detectors=("ml", "blmmse"), **grid)
+        with tracing.Tracer() as tracer:
+            harness.run_sweep(cfg)
+        # raises unless cov_xd, bussgang_gain and cov_xq_unconditional are
+        # called equally often
+        m = tracing.layer_metrics([tracer], [0.0], [0.0])
+        per_power = len(cfg.dither_dbm) * cfg.n_channels
+        per_point = len(cfg.sweep_points()[1]) * cfg.n_channels
+        assert len(tracer.by_name("txchain.cov_xd")) == per_power
+        assert m["stats.kernels"][0] == per_power
+        assert m["detect.tables"][0] == per_point
+        assert m["txchain.quantize_ms.n"][0] == per_power

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from onebitlink import detect
 from onebitlink.core import (ParameterError, chol_logdet, make_constellation, qam16, qpsk,
                              quantize_1bit, substream)
 from onebitlink.detect import (CandidateTable, build_candidate_kernels,
@@ -189,6 +190,29 @@ def test_pruned_ml_equals_exhaustive(seed, n, m, k, sigma2, rho, const, draw):
     if rho == 0.0:
         # mu = 0 and Sigma = I/2 for every candidate: all scores tie
         assert np.all(got == table.indices[0])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("rho", [0.0, 3.0, 1e4])
+def test_pruned_ml_across_blocks_and_flushes(monkeypatch, rho, seed):
+    # 7-row blocks and a 1000-pair survivor buffer: a 45-vector batch spans
+    # seven blocks, the last one short; survivors are held across blocks
+    # (at rho 3 and 1e4), and the buffer is scored before the batch ends
+    H, W, rng = _system(seed, n=6, m=3, k=2)
+    table = _table(H, W, qam16(), 0.1, 1.0 / 6, rho)
+    monkeypatch.setattr(detect, "BLOCK_ENTRIES", 7 * table.n_candidates)
+    monkeypatch.setattr(detect, "SURVIVOR_CAP", 1000)
+    nv = 45
+    S = qam16().points[table.indices[rng.integers(0, table.n_candidates, nv)]]
+    D = (rng.standard_normal((nv, 6)) + 1j * rng.standard_normal((nv, 6))) * np.sqrt(0.05)
+    Z = (rng.standard_normal((nv, 3)) + 1j * rng.standard_normal((nv, 3))) / np.sqrt(2)
+    Y = np.sqrt(rho) * quantize_1bit(S @ W.T + D, 1.0 / 6) @ H.T + Z
+    got, got_score = ml_detect_batch(Y, table)
+    want, want_score = ml_detect_exhaustive(Y, table)
+    assert np.array_equal(got, want)
+    assert_allclose(got_score, want_score, rtol=1e-12)
+    idx, score = ml_detect_batch(Y[:0], table)
+    assert idx.shape == (0, 2) and score.shape == (0,)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)

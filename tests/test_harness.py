@@ -196,7 +196,8 @@ def test_trials_accounting_per_stream():
 
 def test_seconds_include_the_per_dither_builds(monkeypatch):
     # the kernel and combiner builds are charged to the first grid point of
-    # each dither power; a fixed delay in each build shows up there only.
+    # each run of equal dither power; a fixed delay in each build shows up
+    # there only.
     # The harness reads a virtual clock that only the delayed builds advance,
     # so the charged seconds are exact whatever the host load.
     from types import SimpleNamespace
@@ -215,13 +216,21 @@ def test_seconds_include_the_per_dither_builds(monkeypatch):
     monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: now[0]))
     monkeypatch.setattr(harness, "build_candidate_kernels", slow(harness.build_candidate_kernels))
     monkeypatch.setattr(harness, "cov_xd", slow(harness.cov_xd))
-    cfg = ExperimentConfig(n_tx=8, n_rx=2, rho_db=(0.0, 10.0), dither_dbm=(2.0,),
-                           n_channels=2, n_symbol_vectors=10, detectors=("ml", "blmmse"))
-    rows = run_sweep(cfg).rows
-    first, second = rows[:2], rows[2:]
-    # one build per channel
+
+    def points(**grid):
+        rows = run_sweep(ExperimentConfig(n_tx=8, n_rx=2, n_channels=2, n_symbol_vectors=10,
+                                          detectors=("ml", "blmmse"), **grid)).rows
+        return [rows[i:i + 2] for i in range(0, len(rows), 2)]
+
+    # an SNR grid: one build per channel, at the first point only
+    first, second = points(rho_db=(0.0, 10.0), dither_dbm=(2.0,))
     assert all(r.seconds == pytest.approx(2 * delay, abs=1e-12) for r in first)
     assert all(r.seconds == 0.0 for r in second)
+    # a dither grid: one build per channel at every point, also at a dither
+    # power the list revisits, which repeats the first point's errors
+    grid = points(rho_db=(5.0,), dither_dbm=(0.0, 10.0, 0.0))
+    assert all(r.seconds == pytest.approx(2 * delay, abs=1e-12) for pt in grid for r in pt)
+    assert [r.errors for r in grid[0]] == [r.errors for r in grid[2]]
 
 
 def test_csv_text_layout(tmp_path):
@@ -358,7 +367,7 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert int(row[4]) == 80  # CLI --symbols overrode the file value
 
 
-def test_cli_rejects_bad_configuration(tmp_path):
+def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
     assert main(["--n", "4", "--m", "2", "--k", "3"]) == 2
     assert main(["--detectors", "zf"]) == 2
     assert main(["--seed", "-1"]) == 2
@@ -375,6 +384,29 @@ def test_cli_rejects_bad_configuration(tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         assert main(small + ["--config", str(cfg)]) == 2, line
+    # sweep flags beside --self-check, and an output directory that is
+    # missing, are refused before any Monte-Carlo draw or sweep
+    from onebitlink import cli, oracle
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran despite a configuration error")
+
+    monkeypatch.setattr(oracle, "self_check", never)
+    monkeypatch.setattr(cli, "run_sweep", never)
+    capsys.readouterr()
+    assert main(["--self-check", "--channels", "0", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "--channels, --out" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+    assert main(["--n", "8", "--m", "2", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+
+
+def test_cli_reports_an_unwritable_output_in_one_line(tmp_path, capsys):
+    # the parent directory exists, but the output path is itself a directory
+    code = main(["--n", "8", "--m", "2", "--channels", "1", "--symbols", "10",
+                 "--detectors", "guess", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("onebitlink: cannot write") and len(err.splitlines()) == 1
 
 
 def test_cli_self_check_passes():
