@@ -18,10 +18,8 @@ from .channel import (ChannelParams, draw_channel, draw_path_angles,
                       make_precoder, steering)
 from .txchain import (bussgang_gain, cov_xd, cov_xq_unconditional,
                       cov_y_unconditional)
-from .stats import (NoiseStats, SymbolKernel, assemble_stats, cov_pd,
-                    cov_xq_cond, cross_corr_cond, cross_corr_cond_complex,
-                    cross_dither_pd, embed, lmmse_gain, mean_pd, mean_xq_cond,
-                    noise_stats, stack_ri, symbol_kernel)
+from .stats import (SymbolKernel, assemble_stats, conditional_moments,
+                    cross_corr_cond, embed, lmmse_gain, stack_ri, symbol_kernel)
 from .detect import (CandidateTable, blmmse_combiner, build_candidate_kernels,
                      build_candidate_table, enumerate_candidates,
                      ml_detect_batch, slice_min_distance_batch)

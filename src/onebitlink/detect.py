@@ -61,7 +61,6 @@ class CandidateTable:
     inv_chol: np.ndarray  # (orbits, 2M, 2M) inverse lower Cholesky factors L^{-1}
     logdet: np.ndarray    # (L^K,)
     norm: np.ndarray      # (L^K,) ||Sigma||_inf, at least lambda_max(Sigma)
-    rho: float
 
     @property
     def n_candidates(self) -> int:
@@ -166,7 +165,7 @@ def build_candidate_table(kernels: CandidateKernels, rho: float) -> CandidateTab
     orbit, turns = kernels.orbit, kernels.turns
     full_mu = np.stack([_turn(mu, k) for k in range(4)])[turns, orbit]
     return CandidateTable(indices=kernels.indices, orbit=orbit, turns=turns, mu=full_mu,
-                          inv_chol=inv_chol, logdet=logdet[orbit], norm=norm[orbit], rho=rho)
+                          inv_chol=inv_chol, logdet=logdet[orbit], norm=norm[orbit])
 
 
 def _turned_rows(Y: np.ndarray, table: CandidateTable) -> np.ndarray:

@@ -261,7 +261,12 @@ def parse_grid(raw: str):
         parts = [p.strip() for p in raw.split(":")]
         if len(parts) != 3:
             raise ParameterError(f"grid must be start:step:stop, got {raw!r}")
-        start, step, stop = (float(p) for p in parts)
+        try:
+            start, step, stop = (float(p) for p in parts)
+        except ValueError:
+            raise ParameterError(f"grid bounds must be numbers, got {raw!r}") from None
+        if not all(isfinite(v) for v in (start, step, stop)):
+            raise ParameterError(f"grid bounds must be finite, got {raw!r}")
         if step <= 0:
             raise ParameterError("grid step must be positive")
         if stop < start:

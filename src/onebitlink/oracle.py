@@ -1,7 +1,9 @@
 """Brute-force Monte-Carlo reference moments for the quantized transmit chain.
 
-Every closed-form moment in `stats` and `txchain` has a simulation twin here:
-the chain is run draw by draw and the requested moment is averaged, with an
+Every closed-form moment has a simulation twin here: the fixed-symbol kinds
+of `stats.conditional_moments`, the received statistics built by
+`stats.symbol_kernel`, and the Gaussian-symbol moments of `txchain`. The
+chain is run draw by draw and the requested moment is averaged, with an
 elementwise standard error, so closed forms can be gated against simulation at
 a stated number of standard errors. The library ships these oracles (not just
 the tests) so `onebitlink --self-check` can revalidate the closed forms on any
@@ -25,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ParameterError, complex_normal, qam16, quantize_1bit, substream
-from .stats import (assemble_stats, cov_pd, cov_xq_cond, cross_corr_cond,
-                    cross_dither_pd, embed, lmmse_gain, mean_pd, mean_xq_cond,
-                    noise_stats, stack_ri, symbol_kernel)
+from .stats import (assemble_stats, conditional_moments, embed, lmmse_gain,
+                    stack_ri, symbol_kernel)
 from .txchain import bussgang_gain, cov_xd, cov_xq_unconditional, cov_y_unconditional
 
 MIN_DRAWS = 10 ** 4
@@ -272,21 +273,13 @@ class CheckRow:
 
 def closed_form_moments(x, H, W, G, sigma2: float, eta: float, rho: float) -> dict:
     """All closed-form moments for one instance, keyed like the oracle kinds."""
-    ns = noise_stats(H, x, G, sigma2, eta, rho)
     # the received statistics the detector consumes, gated as they are built
     mu_y, Sigma_y = assemble_stats(symbol_kernel(H, x, sigma2, eta), rho)
     C_xd_g = cov_xd(W, sigma2)
     B = bussgang_gain(C_xd_g, eta)
     C_xq_g = cov_xq_unconditional(C_xd_g, eta)
     return {
-        "mean_xq": stack_ri(mean_xq_cond(x, sigma2, eta)),
-        "cross_xd_xq": cross_corr_cond(x, sigma2, eta),
-        "cov_xq": cov_xq_cond(x, sigma2, eta),
-        "mean_pd": stack_ri(mean_pd(x, G, sigma2, eta)),
-        "cross_d_pd": cross_dither_pd(x, G, sigma2, eta),
-        "cov_pd": cov_pd(x, G, sigma2, eta),
-        "noise_mean": ns.mu,
-        "noise_cov": ns.C,
+        **conditional_moments(x, H, G, sigma2, eta, rho),
         "y_mean": mu_y,
         "y_cov": Sigma_y + np.outer(mu_y, mu_y),
         "cov_xd_gauss": 0.5 * embed(C_xd_g),

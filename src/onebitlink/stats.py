@@ -3,9 +3,10 @@
 For a fixed precoded vector x, the dithered input to the one-bit quantizer is
 Gaussian with mean x, so every first and second moment of the quantizer output
 (and of the residual left after the best linear approximation around x) has a
-closed form in the Gauss error function. This module provides those moments
-and assembles them into the mean and covariance of the stacked real received
-vector that the exact-statistics detector consumes.
+closed form in the Gauss error function. `conditional_moments` derives them
+all term by term, as the reference the oracle and the tests check against;
+`symbol_kernel` and `assemble_stats` build the mean and covariance of the
+stacked real received vector that the exact-statistics detector consumes.
 
 Stacked-real convention: real parts first. A complex length-n vector v maps
 to the real length-2n vector stack_ri(v) = [Re v; Im v] (a batch of vectors
@@ -51,7 +52,7 @@ def _phi(x: np.ndarray, sigma2: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# moments of the quantizer output for fixed x
+# moments for a fixed precoded vector x
 # ---------------------------------------------------------------------------
 
 def cross_corr_cond(x: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
@@ -69,112 +70,66 @@ def cross_corr_cond(x: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
     return amp * np.outer(xs, _phi(x, sigma2)) + amp * np.diag(g)
 
 
-def cross_corr_cond_complex(x: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
-    """E[ x_d x_q^H | x ], read off the blocks of the stacked cross-correlation."""
-    n = np.asarray(x).size
-    C = cross_corr_cond(x, sigma2, eta)
-    rr, ri, ir, ii = C[:n, :n], C[:n, n:], C[n:, :n], C[n:, n:]
-    return rr + ii + 1j * (ir - ri)
-
-
 def lmmse_gain(x: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
     """Best linear approximation of the quantizer around the fixed vector x.
 
     G(x) minimizes E||x_q - G x_d||^2 over the dither, so
-    G = C_{x_d x_q}^H (x x^H + sigma2 I)^{-1}; the inverse is evaluated with
-    the rank-one downdate identity rather than a dense solve.
+    G = C_{x_d x_q}^H (x x^H + sigma2 I)^{-1}, with E[x_d x_q^H] read off the
+    blocks of `cross_corr_cond`; the inverse is evaluated with the rank-one
+    downdate identity rather than a dense solve.
     """
-    _check_sigma(sigma2)
     x = np.asarray(x, dtype=np.complex128)
-    Ch = cross_corr_cond_complex(x, sigma2, eta).conj().T
+    n = x.size
+    C = cross_corr_cond(x, sigma2, eta)
+    Ch = (C[:n, :n] + C[n:, n:] + 1j * (C[n:, :n] - C[:n, n:])).conj().T
     # (sigma2 I + x x^H)^{-1} = (I - x x^H / (sigma2 + ||x||^2)) / sigma2
     nx2 = float(np.vdot(x, x).real)
     return (Ch - np.outer(Ch @ x, x.conj()) / (sigma2 + nx2)) / sigma2
 
 
-def mean_xq_cond(x: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
-    """E[ x_q | x ]: per-axis scaled error functions of x/sigma."""
-    _check_sigma(sigma2)
-    x = np.asarray(x, dtype=np.complex128)
-    sig = np.sqrt(sigma2)
-    return np.sqrt(eta / 2.0) * (erf(x.real / sig) + 1j * erf(x.imag / sig))
+def conditional_moments(x: np.ndarray, H: np.ndarray, G: np.ndarray,
+                        sigma2: float, eta: float, rho: float) -> dict:
+    """Fixed-symbol moments of the linearized chain, keyed like the oracle kinds.
 
-
-def mean_pd(x: np.ndarray, G: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
-    """Mean of the linearization residual p_d = x_q - G x_d given x."""
-    return mean_xq_cond(x, sigma2, eta) - np.asarray(G) @ np.asarray(x, dtype=np.complex128)
-
-
-def cov_xq_cond(x: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
-    """E[ stack_ri(x_q) stack_ri(x_q)^T | x ].
-
-    Entries on distinct antennas (or distinct axes) are independent given x,
-    so they factor into the product of means; diagonal entries equal eta/2
-    exactly because the quantizer output has constant modulus.
-    """
-    _check_sigma(sigma2)
-    phi = _phi(np.asarray(x, dtype=np.complex128), sigma2)
-    return (eta / 2.0) * np.outer(phi, phi) + (eta / 2.0) * np.diag(1.0 - phi * phi)
-
-
-def cross_dither_pd(x: np.ndarray, G: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
-    """E[ stack_ri(d) stack_ri(p_d)^T | x ]: dither against the linearization residual.
-
-    Three contributions: the dither/quantizer cross-correlation, minus the
-    dither passed through G, minus the deterministic mean coupling.
-    """
-    _check_sigma(sigma2)
-    x = np.asarray(x, dtype=np.complex128)
-    mean_q = np.sqrt(eta / 2.0) * _phi(x, sigma2)
-    return (cross_corr_cond(x, sigma2, eta) - (sigma2 / 2.0) * embed(G).T
-            - np.outer(stack_ri(x), mean_q))
-
-
-def cov_pd(x: np.ndarray, G: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
-    """E[ stack_ri(p_d) stack_ri(p_d)^T | x ]: second moment of the linearization residual."""
-    _check_sigma(sigma2)
-    x = np.asarray(x, dtype=np.complex128)
-    G = np.asarray(G)
-    Ge = embed(G)
-    P1 = Ge @ cross_corr_cond(x, sigma2, eta)  # E[ stack_ri(G x_d) stack_ri(x_q)^T ]
-    gx = stack_ri(G @ x)
-    return (cov_xq_cond(x, sigma2, eta) - P1 - P1.T
-            + (sigma2 / 2.0) * Ge @ Ge.T + np.outer(gx, gx))
-
-
-# ---------------------------------------------------------------------------
-# effective noise and received-vector statistics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NoiseStats:
-    mu: np.ndarray     # (2M,) mean of the stacked effective noise
-    C: np.ndarray      # (2M, 2M) second moment
-    Sigma: np.ndarray  # (2M, 2M) covariance, C - mu mu^T
-
-
-def noise_stats(H: np.ndarray, x: np.ndarray, G: np.ndarray,
-                sigma2: float, eta: float, rho: float) -> NoiseStats:
-    """Moments of the effective noise sqrt(rho) H (G d + p_d) + z given x.
-
-    Assembled term by term from the residual moments: the residual/residual
-    term, both dither/residual cross terms, the dither passed through H G
-    (per-axis variance sigma2/2), and the unit-variance receiver noise floor.
+    The term-by-term reference route for the precoded vector x, the gain G
+    and the channel H at transmit SNR rho: the moments of the quantizer
+    output x_q, then of the residual p_d = x_q - G x_d, then of the effective
+    noise sqrt(rho) H (G d + p_d) + z, each built once from those before it.
     """
     _check_sigma(sigma2)
     if rho < 0:
         raise ParameterError("transmit SNR must be non-negative")
-    H = np.asarray(H)
     x = np.asarray(x, dtype=np.complex128)
-    G = np.asarray(G)
-    He, Te = embed(H), embed(H @ G)
+    H, G = np.asarray(H), np.asarray(G)
+    n = x.size
+    xs, phi = stack_ri(x), _phi(x, sigma2)
+    He, Ge, Te = embed(H), embed(G), embed(H @ G)
 
-    mu = np.sqrt(rho) * stack_ri(H @ mean_pd(x, G, sigma2, eta))
-    D = Te @ cross_dither_pd(x, G, sigma2, eta) @ He.T
-    C = (rho * (He @ cov_pd(x, G, sigma2, eta) @ He.T + D + D.T
-                + (sigma2 / 2.0) * Te @ Te.T)
-         + 0.5 * np.eye(He.shape[0]))
-    return NoiseStats(mu=mu, C=C, Sigma=C - np.outer(mu, mu))
+    # x_q: distinct entries are independent given x, so they factor into the
+    # product of means; the diagonal is exactly eta/2 (constant modulus)
+    mean_xq = np.sqrt(eta / 2.0) * phi
+    cross_xd_xq = cross_corr_cond(x, sigma2, eta)
+    cov_xq = (eta / 2.0) * np.outer(phi, phi) + (eta / 2.0) * np.diag(1.0 - phi * phi)
+
+    # p_d: against the dither, the dither/quantizer term minus the dither
+    # passed through G minus the deterministic mean coupling
+    gx = G @ x
+    mean_pd = mean_xq[:n] + 1j * mean_xq[n:] - gx
+    cross_d_pd = cross_xd_xq - (sigma2 / 2.0) * Ge.T - np.outer(xs, mean_xq)
+    P1 = Ge @ cross_xd_xq  # E[ stack_ri(G x_d) stack_ri(x_q)^T ]
+    gxs = stack_ri(gx)
+    cov_pd = cov_xq - P1 - P1.T + (sigma2 / 2.0) * Ge @ Ge.T + np.outer(gxs, gxs)
+
+    # noise: the residual/residual term, both dither/residual cross terms,
+    # the dither through H G (per-axis variance sigma2/2) and the floor I/2
+    D = Te @ cross_d_pd @ He.T
+    noise_cov = (rho * (He @ cov_pd @ He.T + D + D.T + (sigma2 / 2.0) * Te @ Te.T)
+                 + 0.5 * np.eye(He.shape[0]))
+    return {
+        "mean_xq": mean_xq, "cross_xd_xq": cross_xd_xq, "cov_xq": cov_xq,
+        "mean_pd": stack_ri(mean_pd), "cross_d_pd": cross_d_pd, "cov_pd": cov_pd,
+        "noise_mean": np.sqrt(rho) * stack_ri(H @ mean_pd), "noise_cov": noise_cov,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +152,11 @@ class SymbolKernel:
     against the row-wise Khatri-Rao product He[i, :] * He[j, :], of shape
     (4M^2, 2N).
 
-    This is algebraically identical to the term-by-term route, where mu_y is
-    sqrt(rho) stack_ri(H G x) plus the noise_stats mean and Sigma_y is the
-    noise_stats covariance (the linearization gain cancels), but costs
-    O(M^2 N) per candidate, which is what makes exhaustive candidate tables
-    affordable.
+    This is algebraically identical to the term-by-term route of
+    `conditional_moments`, where mu_y is sqrt(rho) stack_ri(H G x) plus its
+    noise_mean and Sigma_y is its noise_cov minus the outer product of
+    noise_mean (the linearization gain cancels), but costs O(M^2 N) per
+    candidate, which is what makes exhaustive candidate tables affordable.
     """
 
     mean_core: np.ndarray  # (..., 2M)

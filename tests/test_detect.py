@@ -15,8 +15,8 @@ from onebitlink.detect import (CandidateTable, build_candidate_kernels,
                                enumerate_candidates, ml_detect_batch,
                                ml_detect_exhaustive, slice_min_distance_batch)
 from onebitlink.oracle import mc_gaussian_loglike
-from onebitlink.stats import (assemble_stats, embed, lmmse_gain, noise_stats, stack_ri,
-                              symbol_kernel)
+from onebitlink.stats import (assemble_stats, conditional_moments, embed, lmmse_gain,
+                              stack_ri, symbol_kernel)
 from onebitlink.txchain import bussgang_gain, cov_xd, cov_xq_unconditional
 
 
@@ -116,8 +116,7 @@ def test_ml_prefers_own_mean_and_breaks_ties_low():
                              mu=np.repeat(base.mu[:1], 2, axis=0),
                              inv_chol=np.repeat(base.inv_chol[:1], factors, axis=0),
                              logdet=np.repeat(base.logdet[:1], 2),
-                             norm=np.repeat(base.norm[:1], 2),
-                             rho=base.rho)
+                             norm=np.repeat(base.norm[:1], 2))
         got, _ = ml_detect_batch(Y, dup)
         assert np.all(got == 0)
     # y placed exactly at candidate c's mean, shared covariance -> c wins
@@ -125,8 +124,7 @@ def test_ml_prefers_own_mean_and_breaks_ties_low():
                             turns=np.zeros(4, dtype=np.int64), mu=base.mu,
                             inv_chol=np.repeat(base.inv_chol[:1], 4, axis=0),
                             logdet=np.repeat(base.logdet[:1], 4),
-                            norm=np.repeat(base.norm[:1], 4),
-                            rho=base.rho)
+                            norm=np.repeat(base.norm[:1], 4))
     m = H.shape[0]
     for c in range(4):
         y = shared.mu[c][:m] + 1j * shared.mu[c][m:]
@@ -137,8 +135,7 @@ def test_ml_prefers_own_mean_and_breaks_ties_low():
 def test_ml_rejects_empty_table():
     H, W, rng = _system(6)
     base = _table(H, W, qpsk(), 0.1, 1.0 / 6, 2.0)
-    empty = CandidateTable(**_fields(base, slice(0, 0)), inv_chol=base.inv_chol[:0],
-                           rho=base.rho)
+    empty = CandidateTable(**_fields(base, slice(0, 0)), inv_chol=base.inv_chol[:0])
     with pytest.raises(ParameterError):
         ml_detect_batch(np.zeros((1, 2), dtype=complex), empty)
     with pytest.raises(ParameterError):
@@ -177,8 +174,7 @@ def test_pruned_ml_equals_exhaustive(seed, n, m, k, sigma2, rho, const, draw):
             # every candidate at two or more table positions, shuffled
             pos = rng.permutation(np.r_[np.arange(table.n_candidates),
                                         rng.integers(0, table.n_candidates, table.n_candidates)])
-            table = CandidateTable(**_fields(table, pos), inv_chol=table.inv_chol,
-                                   rho=table.rho)
+            table = CandidateTable(**_fields(table, pos), inv_chol=table.inv_chol)
         S = constellation.points[table.indices[rng.integers(0, table.n_candidates, nv)]]
         D = (rng.standard_normal((nv, n)) + 1j * rng.standard_normal((nv, n))) * np.sqrt(sigma2 / 2)
         Z = (rng.standard_normal((nv, m)) + 1j * rng.standard_normal((nv, m))) / np.sqrt(2)
@@ -230,10 +226,11 @@ def test_stacked_table_matches_term_by_term_route(seed, n, m, k, sigma2, rho):
     X = constellation.points[table.indices] @ W.T
     for c, x in enumerate(X):
         G = lmmse_gain(x, sigma2, eta)
-        ns = noise_stats(H, x, G, sigma2, eta, rho)
+        ref = conditional_moments(x, H, G, sigma2, eta, rho)
+        mu_n = ref["noise_mean"]
         L = _position_chol(table, c)
-        assert np.max(np.abs(table.mu[c] - (np.sqrt(rho) * stack_ri(H @ G @ x) + ns.mu))) < 1e-10
-        assert np.max(np.abs(L @ L.T - ns.Sigma)) < 1e-10
+        assert np.max(np.abs(table.mu[c] - (np.sqrt(rho) * stack_ri(H @ G @ x) + mu_n))) < 1e-10
+        assert np.max(np.abs(L @ L.T - (ref["noise_cov"] - np.outer(mu_n, mu_n)))) < 1e-10
 
 
 def _close(got, want, rel=1e-12):

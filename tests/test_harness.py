@@ -287,6 +287,10 @@ def test_parse_grid_forms():
         parse_grid("0:-1:10")
     with pytest.raises(ParameterError):
         parse_grid("10:1:0")
+    for raw in ("0:nan:1", "nan:1:2", "0:1:nan", "0:1:inf", "-inf:1:0", "0:inf:1",
+                "0:a:1"):
+        with pytest.raises(ParameterError):
+            parse_grid(raw)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -374,13 +378,19 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
     assert main(["--self-check", "--seed", "-1"]) == 2
     assert main(["--config", "/nonexistent/path.cfg"]) == 2
     assert main(["--n", "8", "--m", "2", "--snr-db", "nan"]) == 2
+    for grid in ("0:nan:1", "0:1:inf", "0:a:1"):
+        capsys.readouterr()
+        assert main(["--snr-db", grid]) == 2, grid
+        err = capsys.readouterr().err
+        assert err.startswith("onebitlink: configuration error") and len(err.splitlines()) == 1
     small = ["--n", "8", "--m", "2", "--channels", "1", "--symbols", "20"]
     assert main(small + ["--snr-db", "4000"]) == 2
     assert main(small + ["--dither-dbm", "4000"]) == 2
     assert main(small + ["--dither-dbm=-4000"]) == 2
     assert main(["--n", "8", "--m", "6", "--k", "5", "--channels", "1",
                  "--symbols", "10", "--detectors", "ml"]) == 2
-    for line in ("angular_spread = nan", "angular_spread = abc", "constellation = 5"):
+    for line in ("angular_spread = nan", "angular_spread = abc", "constellation = 5",
+                 "rho_db = 0:1:inf", "dither_dbm = 0:nan:1"):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         assert main(small + ["--config", str(cfg)]) == 2, line

@@ -8,7 +8,7 @@ from onebitlink.oracle import (SATURATION_ALLOWANCE, InstanceSpec,
                                closed_form_moments, default_instances,
                                mc_gaussian_loglike, mc_moment,
                                validate_instance)
-from onebitlink.stats import lmmse_gain, mean_xq_cond, stack_ri
+from onebitlink.stats import conditional_moments, lmmse_gain, stack_ri
 
 
 def _params(sigma2=0.4, n=3):
@@ -54,8 +54,8 @@ def test_saturated_sign_average_needs_allowance():
     x = np.array([0.45 + 0.45j])
     draws = 10 ** 4
     est = mc_moment("mean_xq", 0.01, 0.5, x=x, draws=draws, rng=substream(70, 0))
-    closed = mean_xq_cond(x, 0.01, 0.5)
-    target = np.concatenate([closed.real, closed.imag])
+    target = conditional_moments(x, np.eye(1), lmmse_gain(x, 0.01, 0.5), 0.01, 0.5,
+                                 1.0)["mean_xq"]
     err = np.abs(target - est.value)
     assert np.all(est.stderr == 0.0)
     assert np.any(err > 4 * est.stderr + 1e-12)  # raw 4-SE rule is too tight

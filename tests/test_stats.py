@@ -6,12 +6,11 @@ from numpy.testing import assert_allclose
 
 from scipy.special import erf
 
-from onebitlink.core import SingularityError, chol_logdet, qam16, quantize_1bit, substream
-from onebitlink.stats import (assemble_stats, cov_pd, cov_xq_cond,
-                              cross_corr_cond, cross_corr_cond_complex,
-                              cross_dither_pd, embed, lmmse_gain, mean_pd,
-                              mean_xq_cond, noise_stats, stack_ri,
-                              symbol_kernel)
+from onebitlink.core import (ParameterError, SingularityError, chol_logdet, qam16,
+                             quantize_1bit, substream)
+from onebitlink.oracle import _CONDITIONAL_KINDS
+from onebitlink.stats import (assemble_stats, conditional_moments, cross_corr_cond,
+                              embed, lmmse_gain, stack_ri, symbol_kernel)
 
 
 def _instance(seed, n=4, m=3, k=2, sigma2=0.3):
@@ -22,6 +21,21 @@ def _instance(seed, n=4, m=3, k=2, sigma2=0.3):
     x = W @ s
     eta = 1.0 / n
     return H, W, s, x, sigma2, eta
+
+
+def _moments(x, sigma2, eta, H=None, G=None, rho=1.0):
+    # conditional_moments of x, by default through H = I with the LMMSE gain
+    x = np.asarray(x, dtype=complex)
+    H = np.eye(x.size) if H is None else H
+    G = lmmse_gain(x, sigma2, eta) if G is None else G
+    return conditional_moments(x, H, G, sigma2, eta, rho)
+
+
+def _complex_cross(x, sigma2, eta):
+    # E[x_d x_q^H], read off the four stacked blocks of cross_corr_cond
+    n = np.asarray(x).size
+    C = cross_corr_cond(x, sigma2, eta)
+    return C[:n, :n] + C[n:, n:] + 1j * (C[n:, :n] - C[:n, n:])
 
 
 def test_axis_helpers():
@@ -57,11 +71,12 @@ def test_scalar_mean_and_cov():
     a, b, sigma2, eta = -0.3, 0.9, 0.5, 0.25
     x = np.array([a + 1j * b])
     sig = np.sqrt(sigma2)
-    m = mean_xq_cond(x, sigma2, eta)[0]
-    assert m.real == pytest.approx(np.sqrt(eta / 2) * erf(a / sig), rel=1e-14)
-    assert m.imag == pytest.approx(np.sqrt(eta / 2) * erf(b / sig), rel=1e-14)
+    moments = _moments(x, sigma2, eta)
+    m = moments["mean_xq"]  # scalar x: stacked index 0 is Re, 1 is Im
+    assert m[0] == pytest.approx(np.sqrt(eta / 2) * erf(a / sig), rel=1e-14)
+    assert m[1] == pytest.approx(np.sqrt(eta / 2) * erf(b / sig), rel=1e-14)
     # constant-modulus output: matched-axis second moment is exactly eta/2
-    C = cov_xq_cond(x, sigma2, eta)
+    C = moments["cov_xq"]
     assert C[0, 0] == eta / 2
     assert C[1, 1] == eta / 2
     cross = C[0, 1]
@@ -77,7 +92,7 @@ def test_zero_signal_gain_is_scaled_identity():
 def test_lmmse_gain_matches_dense_solve():
     H, W, s, x, sigma2, eta = _instance(1)
     G = lmmse_gain(x, sigma2, eta)
-    C = cross_corr_cond_complex(x, sigma2, eta)
+    C = _complex_cross(x, sigma2, eta)
     dense = np.linalg.solve((sigma2 * np.eye(x.size) + np.outer(x, x.conj())).T,
                             C.conj()).T
     assert_allclose(G, dense, atol=1e-12)
@@ -107,16 +122,17 @@ def test_lmmse_gain_is_a_stationary_point():
 
 def test_mean_pd_vanishes_for_overwhelming_dither():
     H, W, s, x, _, eta = _instance(3)
-    r = mean_pd(x, lmmse_gain(x, 1e8, eta), 1e8, eta)
-    assert np.max(np.abs(r)) < 1e-6
+    r = _moments(x, 1e8, eta)["mean_pd"]
+    n = x.size
+    assert np.max(np.abs(r[:n] + 1j * r[n:])) < 1e-6
 
 
 def test_residual_moments_shrink_with_dither():
     # the linearization is exact in the small-dither limit on the diagonal
     H, W, s, x, sigma2, eta = _instance(4, n=3, k=1)
     n = x.size  # the Re/Re block of the stacked residual moment
-    big = np.max(np.abs(cov_pd(x, lmmse_gain(x, 1.0, eta), 1.0, eta)[:n, :n]))
-    small = np.max(np.abs(cov_pd(x, lmmse_gain(x, 1e-6, eta), 1e-6, eta)[:n, :n]))
+    big = np.max(np.abs(_moments(x, 1.0, eta)["cov_pd"][:n, :n]))
+    small = np.max(np.abs(_moments(x, 1e-6, eta)["cov_pd"][:n, :n]))
     assert small < big
     assert np.isfinite(small)
 
@@ -124,18 +140,34 @@ def test_residual_moments_shrink_with_dither():
 def test_cross_dither_pd_finite_at_tiny_dither():
     H, W, s, x, _, eta = _instance(5)
     for s2 in (1e-10, 1e-12):
-        M = cross_dither_pd(x, lmmse_gain(x, s2, eta), s2, eta)
+        M = _moments(x, s2, eta)["cross_d_pd"]
         assert np.all(np.isfinite(M))
 
 
 def test_sigma_zero_raises():
     x = np.ones(3, dtype=complex)
     with pytest.raises(SingularityError):
-        mean_xq_cond(x, 0.0, 1 / 3)
+        cross_corr_cond(x, 0.0, 1 / 3)
     with pytest.raises(SingularityError):
         lmmse_gain(x, 0.0, 1 / 3)
     with pytest.raises(SingularityError):
-        cov_xq_cond(x, 0.0, 1 / 3)
+        conditional_moments(x, np.eye(3), np.eye(3), 0.0, 1 / 3, 1.0)
+
+
+def test_conditional_moments_refuses_bad_dither_and_snr():
+    x = np.ones(3, dtype=complex)
+    H, G = np.eye(2, 3), np.eye(3)
+    for sigma2 in (0.0, -0.5, np.nan):
+        with pytest.raises(SingularityError):
+            conditional_moments(x, H, G, sigma2, 1 / 3, 1.0)
+    with pytest.raises(ParameterError):
+        conditional_moments(x, H, G, 0.3, 1 / 3, -1.0)
+
+
+def test_conditional_moments_keys_are_the_fixed_symbol_kinds():
+    H, W, s, x, sigma2, eta = _instance(14)
+    moments = _moments(x, sigma2, eta, H=H, rho=2.0)
+    assert set(moments) == _CONDITIONAL_KINDS - {"y_mean", "y_cov"}
 
 
 # ---------------------------------------------------------------------------
@@ -145,27 +177,31 @@ def test_sigma_zero_raises():
 def test_noise_stats_definition_consistency():
     H, W, s, x, sigma2, eta = _instance(6)
     G = lmmse_gain(x, sigma2, eta)
-    ns = noise_stats(H, x, G, sigma2, eta, rho=2.5)
+    moments = conditional_moments(x, H, G, sigma2, eta, rho=2.5)
+    mu, C = moments["noise_mean"], moments["noise_cov"]
     m = H.shape[0]
-    assert ns.mu.shape == (2 * m,)
-    assert ns.C.shape == (2 * m, 2 * m)
-    assert_allclose(ns.Sigma, ns.C - np.outer(ns.mu, ns.mu), atol=1e-14)
-    assert_allclose(ns.Sigma, ns.Sigma.T, atol=1e-12)
-    assert np.linalg.eigvalsh(ns.Sigma).min() > 0.4  # AWGN floor of 1/2
+    assert mu.shape == (2 * m,)
+    assert C.shape == (2 * m, 2 * m)
+    assert_allclose(C, C.T, atol=1e-12)
+    Sigma = C - np.outer(mu, mu)
+    assert_allclose(Sigma, Sigma.T, atol=1e-12)
+    assert np.linalg.eigvalsh(Sigma).min() > 0.4  # AWGN floor of 1/2
 
 
 def test_noise_stats_conjugation_negates_cross_blocks():
     H, W, s, x, sigma2, eta = _instance(7)
     G = lmmse_gain(x, sigma2, eta)
     m = H.shape[0]
-    a = noise_stats(H, x, G, sigma2, eta, rho=1.7)
-    b = noise_stats(H.conj(), x.conj(), G.conj(), sigma2, eta, rho=1.7)
-    assert_allclose(b.mu[:m], a.mu[:m], atol=1e-12)
-    assert_allclose(b.mu[m:], -a.mu[m:], atol=1e-12)
-    assert_allclose(b.C[:m, :m], a.C[:m, :m], atol=1e-12)
-    assert_allclose(b.C[m:, m:], a.C[m:, m:], atol=1e-12)
-    assert_allclose(b.C[:m, m:], -a.C[:m, m:], atol=1e-12)
-    assert_allclose(b.C[m:, :m], -a.C[m:, :m], atol=1e-12)
+    a = conditional_moments(x, H, G, sigma2, eta, rho=1.7)
+    b = conditional_moments(x.conj(), H.conj(), G.conj(), sigma2, eta, rho=1.7)
+    mu_a, mu_b = a["noise_mean"], b["noise_mean"]
+    C_a, C_b = a["noise_cov"], b["noise_cov"]
+    assert_allclose(mu_b[:m], mu_a[:m], atol=1e-12)
+    assert_allclose(mu_b[m:], -mu_a[m:], atol=1e-12)
+    assert_allclose(C_b[:m, :m], C_a[:m, :m], atol=1e-12)
+    assert_allclose(C_b[m:, m:], C_a[m:, m:], atol=1e-12)
+    assert_allclose(C_b[:m, m:], -C_a[:m, m:], atol=1e-12)
+    assert_allclose(C_b[m:, :m], -C_a[m:, :m], atol=1e-12)
 
 
 def test_kernel_zero_snr_collapses_to_awgn():
@@ -193,9 +229,10 @@ def test_symbol_stats_matches_kernel_route(seed, n, m, k, sigma2, rho):
     H, W, s, x, sigma2, eta = _instance(seed, n=n, m=m, k=min(k, n), sigma2=sigma2)
     G = lmmse_gain(x, sigma2, eta)
     mu, Sigma = assemble_stats(symbol_kernel(H, x, sigma2, eta), rho)
-    ns = noise_stats(H, x, G, sigma2, eta, rho)
-    assert np.max(np.abs(mu - (np.sqrt(rho) * stack_ri(H @ G @ x) + ns.mu))) < 1e-10
-    assert np.max(np.abs(Sigma - ns.Sigma)) < 1e-10
+    ref = conditional_moments(x, H, G, sigma2, eta, rho)
+    mu_n = ref["noise_mean"]
+    assert np.max(np.abs(mu - (np.sqrt(rho) * stack_ri(H @ G @ x) + mu_n))) < 1e-10
+    assert np.max(np.abs(Sigma - (ref["noise_cov"] - np.outer(mu_n, mu_n)))) < 1e-10
 
 
 def test_kernel_cholesky_is_coherent():
@@ -226,36 +263,34 @@ def test_cross_corr_zero_symbol_pinned():
     # matched-axis blocks are diagonal, cross-axis blocks vanish
     assert_allclose(cross_corr_cond(x, sigma2, eta), diag * np.eye(2 * n),
                     atol=1e-15)
-    assert_allclose(cross_corr_cond_complex(x, sigma2, eta),
+    assert_allclose(_complex_cross(x, sigma2, eta),
                     np.sqrt(2 * eta / np.pi) * np.sqrt(sigma2) * np.eye(n),
                     atol=1e-15)
 
 
 def test_cross_corr_complex_real_symbol_has_real_diagonal():
     x = np.array([0.8, -1.2, 0.3], dtype=complex)
-    C = cross_corr_cond_complex(x, 0.2, 0.25)
+    C = _complex_cross(x, 0.2, 0.25)
     assert_allclose(np.diag(C).imag, 0.0, atol=1e-15)
 
 
 def test_mean_xq_saturation_and_bounds():
     sigma2, eta = 0.1, 0.125
     lim = np.sqrt(eta / 2)
-    assert_allclose(mean_xq_cond(np.zeros(2, dtype=complex), sigma2, eta),
-                    0.0, atol=1e-15)
-    big = mean_xq_cond(np.array([50.0 + 0j]), sigma2, eta)
-    assert big[0].real == pytest.approx(lim, rel=1e-12)
-    assert big[0].imag == pytest.approx(0.0, abs=1e-15)
+    assert_allclose(_moments(np.zeros(2), sigma2, eta)["mean_xq"], 0.0, atol=1e-15)
+    big = _moments(np.array([50.0 + 0j]), sigma2, eta)["mean_xq"]
+    assert big[0] == pytest.approx(lim, rel=1e-12)
+    assert big[1] == pytest.approx(0.0, abs=1e-15)
     rng = substream(60, 0)
     x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    m = mean_xq_cond(x, sigma2, eta)
-    assert np.all(np.abs(m.real) <= lim + 1e-12)
-    assert np.all(np.abs(m.imag) <= lim + 1e-12)
+    m = _moments(x, sigma2, eta)["mean_xq"]  # [Re; Im]
+    assert np.all(np.abs(m) <= lim + 1e-12)
 
 
 def test_cov_xq_zero_symbol_pinned():
     n, sigma2, eta = 3, 0.7, 0.2
     x = np.zeros(n, dtype=complex)
-    assert_allclose(cov_xq_cond(x, sigma2, eta), (eta / 2) * np.eye(2 * n),
+    assert_allclose(_moments(x, sigma2, eta)["cov_xq"], (eta / 2) * np.eye(2 * n),
                     atol=1e-15)
 
 
@@ -264,7 +299,7 @@ def test_cross_dither_pd_zero_symbol_diagonal_gain():
     x = np.zeros(n, dtype=complex)
     G = g * np.eye(n, dtype=complex)
     matched = np.sqrt(eta / 2) * np.sqrt(sigma2 / np.pi) - g * sigma2 / 2
-    assert_allclose(cross_dither_pd(x, G, sigma2, eta), matched * np.eye(2 * n),
+    assert_allclose(_moments(x, sigma2, eta, G=G)["cross_d_pd"], matched * np.eye(2 * n),
                     atol=1e-15)
 
 
@@ -272,7 +307,7 @@ def test_cov_pd_axis_swap_transposes():
     H, W, s, x, sigma2, eta = _instance(61)
     G = lmmse_gain(x, sigma2, eta)
     # swapping the axes of a block transposes it: the stacked moment is symmetric
-    C = cov_pd(x, G, sigma2, eta)
+    C = _moments(x, sigma2, eta, G=G)["cov_pd"]
     assert_allclose(C, C.T, atol=1e-13)
 
 
@@ -280,8 +315,8 @@ def test_noise_mean_vanishes_at_zero_symbol():
     H, W, s, x, sigma2, eta = _instance(62)
     zero = np.zeros(x.size, dtype=complex)
     G = lmmse_gain(zero, sigma2, eta)
-    ns = noise_stats(H, zero, G, sigma2, eta, 2.0)
-    assert_allclose(ns.mu, 0.0, atol=1e-15)
+    mu = conditional_moments(zero, H, G, sigma2, eta, 2.0)["noise_mean"]
+    assert_allclose(mu, 0.0, atol=1e-15)
 
 
 def test_symbol_stats_covariance_reduces_to_noise_covariance():
@@ -291,7 +326,8 @@ def test_symbol_stats_covariance_reduces_to_noise_covariance():
     rho = 3.0
     _, Sigma = assemble_stats(symbol_kernel(H, x, sigma2, eta), rho)
     G = lmmse_gain(x, sigma2, eta)
-    ns = noise_stats(H, x, G, sigma2, eta, rho)
-    assert_allclose(Sigma, ns.Sigma, atol=1e-11)
+    ref = conditional_moments(x, H, G, sigma2, eta, rho)
+    mu_n = ref["noise_mean"]
+    assert_allclose(Sigma, ref["noise_cov"] - np.outer(mu_n, mu_n), atol=1e-11)
     eigs = np.linalg.eigvalsh(Sigma)
     assert eigs.min() >= 0.5 - 1e-9
