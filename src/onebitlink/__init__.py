@@ -18,8 +18,9 @@ from .channel import (ChannelParams, draw_channel, draw_path_angles,
                       make_precoder, steering)
 from .txchain import (bussgang_gain, cov_xd, cov_xq_unconditional,
                       cov_y_unconditional)
-from .stats import (SymbolKernel, assemble_stats, conditional_moments,
-                    cross_corr_cond, embed, lmmse_gain, stack_ri, symbol_kernel)
+from .stats import (ReceiveBasis, SymbolKernel, assemble_stats,
+                    conditional_moments, cross_corr_cond, embed, lmmse_gain,
+                    receive_basis, stack_ri, symbol_kernel)
 from .detect import (CandidateTable, blmmse_combiner, build_candidate_kernels,
                      build_candidate_table, enumerate_candidates,
                      ml_detect_batch, slice_min_distance_batch)

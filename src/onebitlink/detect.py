@@ -4,8 +4,8 @@ The ML detector picks the candidate symbol vector that minimizes the Gaussian
 objective of the receive model conditioned on that candidate (mean +
 covariance from `stats`), using cached inverse Cholesky factors, so its cost
 does not depend on the transmit array size once the table is built. It is an
-exact pruned search: a cheap per-candidate lower bound rules most candidates
-out, and only the rest are scored exactly (see `ml_detect_batch`).
+exact pruned search: a lower bound in the channel's eigenbasis rules most
+candidates out, and only the rest are scored exactly (see `ml_detect_batch`).
 `ml_detect_exhaustive` scores every candidate and is the reference the tests
 compare against.
 
@@ -26,13 +26,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Constellation, ParameterError, chol_logdet, tril_inv
-from .stats import SymbolKernel, assemble_stats, stack_ri, symbol_kernel
+from .stats import ReceiveBasis, SymbolKernel, assemble_stats, stack_ri, symbol_kernel
 from .txchain import cov_y_unconditional
 
 MAX_TABLE = 10 ** 6
 
-# Relative slack taken off the lower bound, far above the rounding of the
-# distance expansion and of the exact scores, so it never prunes the winner.
+# Relative slack taken off the lower bound, far above the rounding of its
+# expansion, of the eigenbasis and of the exact scores, so it never prunes the
+# winner.
 BOUND_SLACK = 1e-9
 # Entries per block of work: keeps a (vectors x candidates) bound matrix, or a
 # block of covariances being factored, at about 4 MB.
@@ -52,6 +53,13 @@ class CandidateTable:
     L^{-1} (Sigma_r = L L^T, lower triangular up to rounding) is
     inv_chol[orbit]. So mu = Q^turns mu_r, and the candidate's quadratic
     form is ||L^{-1} Q^{-turns} (y' - mu)||^2.
+
+    The pruning bound reads the channel's eigenbasis eigvecs = V of
+    embed(H H^H) = V diag(lam) V^T and, per orbit, the weights
+    w = 1/(1/2 + t + rho dmax lam), where dmax is the representative's
+    largest quantizer-output variance and t the jitter its factorization
+    needed: Sigma + t I <= V diag(1/w) V^T for every member of the orbit (the
+    quarter turn Q commutes with embed(H H^H)).
     """
 
     indices: np.ndarray   # (L^K, K) per-stream constellation indices
@@ -60,7 +68,8 @@ class CandidateTable:
     mu: np.ndarray        # (L^K, 2M) stacked means
     inv_chol: np.ndarray  # (orbits, 2M, 2M) inverse lower Cholesky factors L^{-1}
     logdet: np.ndarray    # (L^K,)
-    norm: np.ndarray      # (L^K,) ||Sigma||_inf, at least lambda_max(Sigma)
+    eigvecs: np.ndarray   # (2M, 2M) eigenvectors V of embed(H H^H), one per column
+    weight: np.ndarray    # (orbits, 2M) eigenbasis bound weights 1/(1/2 + t + rho dmax lam)
 
     @property
     def n_candidates(self) -> int:
@@ -123,24 +132,25 @@ def _orbits(constellation: Constellation, digits: np.ndarray):
 class CandidateKernels(NamedTuple):
     """SNR-independent kernels of one representative per orbit, and the orbits."""
 
+    basis: ReceiveBasis    # the channel's, shared by every dither power
     indices: np.ndarray    # (L^K, K) per-stream constellation indices
     orbit: np.ndarray      # (L^K,) row of kernel holding the position's representative
     turns: np.ndarray      # (L^K,) k with candidate = j^k representative
     kernel: SymbolKernel   # stacked over the representatives
 
 
-def build_candidate_kernels(H, W, constellation: Constellation, sigma2: float,
-                            eta: float) -> CandidateKernels:
+def build_candidate_kernels(basis: ReceiveBasis, W, constellation: Constellation,
+                            sigma2: float, eta: float) -> CandidateKernels:
     """Kernels of the orbit representatives of every candidate (see `_orbits`).
 
-    Reusable across an SNR sweep; table positions follow the candidate order
-    of `enumerate_candidates`.
+    basis is the channel's `receive_basis`. Reusable across an SNR sweep;
+    table positions follow the candidate order of `enumerate_candidates`.
     """
     W = np.asarray(W)
     digits, symbols = enumerate_candidates(constellation, W.shape[1])
     representatives, orbit, turns = _orbits(constellation, digits)
-    kernel = symbol_kernel(H, symbols[representatives] @ W.T, sigma2, eta)
-    return CandidateKernels(digits, orbit, turns, kernel)
+    kernel = symbol_kernel(basis, symbols[representatives] @ W.T, sigma2, eta)
+    return CandidateKernels(basis, digits, orbit, turns, kernel)
 
 
 def build_candidate_table(kernels: CandidateKernels, rho: float) -> CandidateTable:
@@ -148,24 +158,27 @@ def build_candidate_table(kernels: CandidateKernels, rho: float) -> CandidateTab
 
     The representatives' covariance stack is factored block by block (one
     `chol_logdet` and one `tril_inv` call per block), and each inverse
-    Cholesky factor overwrites its covariance in the stack. Means,
-    log-determinants and norms are then expanded to every table position.
+    Cholesky factor overwrites its covariance in the stack. Means and
+    log-determinants are then expanded to every table position; the bound
+    weights stay per orbit, with the jitter t of the representative's block.
     """
     mu, inv_chol = assemble_stats(kernels.kernel, rho)
     n_rep, dim = inv_chol.shape[0], inv_chol.shape[-1]
     logdet = np.empty(n_rep)
-    norm = np.empty(n_rep)
+    jitter = np.empty(n_rep)
     step = max(1, BLOCK_ENTRIES // (dim * dim))
     for lo in range(0, n_rep, step):
         blk = inv_chol[lo:lo + step]
-        norm[lo:lo + step] = np.abs(blk).sum(axis=-1).max(axis=-1)
         fac = chol_logdet(blk)
         logdet[lo:lo + step] = fac.logdet
+        jitter[lo:lo + step] = fac.jitter
         blk[...] = tril_inv(fac.factor)
-    orbit, turns = kernels.orbit, kernels.turns
+    orbit, turns, basis = kernels.orbit, kernels.turns, kernels.basis
     full_mu = np.stack([_turn(mu, k) for k in range(4)])[turns, orbit]
+    weight = 1.0 / (0.5 + jitter[:, None] + rho * kernels.kernel.dmax[:, None] * basis.lam)
     return CandidateTable(indices=kernels.indices, orbit=orbit, turns=turns, mu=full_mu,
-                          inv_chol=inv_chol, logdet=logdet[orbit], norm=norm[orbit])
+                          inv_chol=inv_chol, logdet=logdet[orbit], eigvecs=basis.V,
+                          weight=weight)
 
 
 def _turned_rows(Y: np.ndarray, table: CandidateTable) -> np.ndarray:
@@ -215,6 +228,26 @@ def ml_detect_exhaustive(Y: np.ndarray, table: CandidateTable):
     return table.indices[best], best_score
 
 
+def _bound_terms(Yp: np.ndarray, table: CandidateTable):
+    """Operands of the pruning bound: bound[i, c] = (terms @ coef)[i, c].
+
+    With z = V^T y' per row of Yp and m_c = V^T mu_c, terms is [z*z, z, 1]
+    (n, 4M+1) and coef is [w_c - 4s, -2 w_c m_c, b_c]^T (4M+1, L^K), where
+    s = BOUND_SLACK and
+    b_c = logdet_c - s (1 + |logdet_c|) + sum(w_c m_c^2) - 4s ||m_c||^2.
+    """
+    s = BOUND_SLACK
+    z = Yp @ table.eigvecs
+    m = table.mu @ table.eigvecs
+    w = table.weight[table.orbit]
+    wm = w * m
+    b = (table.logdet - s * (1.0 + np.abs(table.logdet))
+         + np.einsum("ij,ij->i", wm, m) - 4.0 * s * np.einsum("ij,ij->i", m, m))
+    terms = np.concatenate([z * z, z, np.ones((z.shape[0], 1))], axis=1)
+    coef = np.concatenate([w - 4.0 * s, -2.0 * wm, b[:, None]], axis=1).T
+    return terms, coef
+
+
 def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
     """ML decisions for a batch of received vectors, by bound-and-rescore.
 
@@ -222,16 +255,20 @@ def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
     score is the Gaussian objective (y'-mu)^T Sigma^{-1} (y'-mu) + logdet
     Sigma of the winning candidate; ties go to the lowest table position.
 
-    With n_c = ||Sigma_c||_inf >= lambda_max(Sigma_c), every candidate's
-    objective is at least logdet_c + ||y'-mu_c||^2 / n_c. The squared
-    distances come from one GEMM per block of vectors as
-    ||y'||^2 - 2 y'.mu_c + ||mu_c||^2, and the bound used is
+    Sigma_c = I/2 + rho He D_c He^T with D_c <= dmax_c I, so a factor with
+    jitter t has Sigma_c + t I <= V diag(1/w_c) V^T (see `CandidateTable`)
+    and every candidate's objective is at least
+    logdet_c + sum_i w_ci (z_i - m_ci)^2, with z = V^T y' and m_c = V^T mu_c.
+    The bound used is
 
         logdet_c - s (1 + |logdet_c|)
-            + max(||y'-mu_c||^2 - s (||y'||^2 + ||mu_c||^2), 0) / n_c
+            + sum_i w_ci (z_i - m_ci)^2 - 4 s (||z||^2 + ||m_c||^2)
 
-    with s = BOUND_SLACK, so the rounding of the expansion and of the exact
-    scores cannot rule out the winner. The vectors go in blocks of
+    with s = BOUND_SLACK, expanded so that one GEMM per block of vectors
+    gives it (`_bound_terms`). Since w_ci <= 2, each term of the expansion
+    is at most 4 (||z||^2 + ||m_c||^2) in size, so the slack covers its
+    rounding, that of the eigenbasis and that of the exact scores, and the
+    winner is never ruled out. The vectors go in blocks of
     BLOCK_ENTRIES bound entries. In each block, every vector's lowest-bound
     candidate is scored exactly; that score is the vector's threshold, and
     every candidate whose bound does not exceed it survives. Survivors are
@@ -243,14 +280,8 @@ def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
     them.
     """
     Yt = _turned_rows(Y, table)
-    Yp = Yt[0]
-    n = Yp.shape[0]
-    shrink = 1.0 - BOUND_SLACK
-    yy = shrink * np.einsum("ij,ij->i", Yp, Yp)
-    mm = shrink * np.einsum("ij,ij->i", table.mu, table.mu)
-    base = table.logdet - BOUND_SLACK * (1.0 + np.abs(table.logdet))
-    inv_norm = 1.0 / table.norm
-    mu2 = 2.0 * table.mu.T
+    n = Yt.shape[1]
+    terms, coef = _bound_terms(Yt[0], table)
 
     step = max(1, BLOCK_ENTRIES // table.n_candidates)
     best_score = np.full(n, np.inf)
@@ -258,10 +289,7 @@ def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
     held, n_held = [], 0
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        bound = yy[lo:hi, None] + mm - Yp[lo:hi] @ mu2
-        np.maximum(bound, 0.0, out=bound)
-        bound *= inv_norm
-        bound += base
+        bound = terms[lo:hi] @ coef
         first = np.argmin(bound, axis=1)
         threshold = np.empty(hi - lo)
         for pos in _groups(table.orbit[first]):

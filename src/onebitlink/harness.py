@@ -25,6 +25,7 @@ from .core import (ParameterError, complex_normal, make_constellation, quantize_
                    substream)
 from .detect import (MAX_TABLE, build_candidate_kernels, build_candidate_table,
                      ml_detect_batch, slice_min_distance_batch, blmmse_combiner)
+from .stats import receive_basis
 from .txchain import bussgang_gain, cov_xd, cov_xq_unconditional
 
 # rng sub-stream purposes; streams are keyed (seed, channel index, purpose)
@@ -37,6 +38,10 @@ GUESS = 4
 KNOWN_DETECTORS = ("ml", "blmmse", "guess")
 
 CSV_HEADER = "param_name,param_value,detector,errors,trials,ser,seconds"
+
+# Most points a start:step:stop grid may have; a larger one is refused before
+# any of it is built.
+MAX_GRID_POINTS = 100_000
 
 
 def dbm_to_linear(v: float) -> float:
@@ -168,9 +173,10 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
     # What depends on the dither power alone lives while that power is in use.
     # The rows are quantized once per run of equal sigma2; the ML kernels and
     # BLMMSE pieces are built at the first point whose detector needs them,
-    # which is charged their build time.
+    # which is charged their build time. The channel's receive basis is built
+    # the same way, once, at the first ml point.
     out = {}
-    current = None
+    current = basis = None
     for idx, (_, sigma2, rho) in enumerate(cfg.sweep_points()[1]):
         if sigma2 != current:
             current = sigma2
@@ -181,7 +187,9 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
             t0 = time.perf_counter()
             if det == "ml":
                 if kernels is None:
-                    kernels = build_candidate_kernels(H, W, const, sigma2, eta)
+                    if basis is None:
+                        basis = receive_basis(H)
+                    kernels = build_candidate_kernels(basis, W, const, sigma2, eta)
                 table = build_candidate_table(kernels, rho)
                 decided = ml_detect_batch(Y, table)[0]
             elif det == "blmmse":
@@ -254,7 +262,8 @@ def parse_grid(raw: str):
     """Parse 'a,b,c' lists and 'start:step:stop' inclusive grids.
 
     A grid steps from start and never past stop; stop itself is included
-    when it lies within rounding (1e-9 of a step) of a grid point.
+    when it lies within rounding (1e-9 of a step) of a grid point. A grid of
+    more than MAX_GRID_POINTS points is refused.
     """
     raw = raw.strip()
     if ":" in raw:
@@ -271,7 +280,10 @@ def parse_grid(raw: str):
             raise ParameterError("grid step must be positive")
         if stop < start:
             raise ParameterError(f"grid stop {stop:g} lies below its start {start:g}")
-        n = int(np.floor((stop - start) / step + 1e-9)) + 1
+        steps = np.floor((stop - start) / step + 1e-9)
+        if not steps < MAX_GRID_POINTS:
+            raise ParameterError(f"grid {raw!r} would have more than {MAX_GRID_POINTS} points")
+        n = int(steps) + 1
         return [start + i * step for i in range(n)]
     if "," in raw:
         return [_scalar(tok) for tok in raw.split(",") if tok.strip()]

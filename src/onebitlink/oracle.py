@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import ParameterError, complex_normal, qam16, quantize_1bit, substream
 from .stats import (assemble_stats, conditional_moments, embed, lmmse_gain,
-                    stack_ri, symbol_kernel)
+                    receive_basis, stack_ri, symbol_kernel)
 from .txchain import bussgang_gain, cov_xd, cov_xq_unconditional, cov_y_unconditional
 
 MIN_DRAWS = 10 ** 4
@@ -274,7 +274,7 @@ class CheckRow:
 def closed_form_moments(x, H, W, G, sigma2: float, eta: float, rho: float) -> dict:
     """All closed-form moments for one instance, keyed like the oracle kinds."""
     # the received statistics the detector consumes, gated as they are built
-    mu_y, Sigma_y = assemble_stats(symbol_kernel(H, x, sigma2, eta), rho)
+    mu_y, Sigma_y = assemble_stats(symbol_kernel(receive_basis(H), x, sigma2, eta), rho)
     C_xd_g = cov_xd(W, sigma2)
     B = bussgang_gain(C_xd_g, eta)
     C_xq_g = cov_xq_unconditional(C_xd_g, eta)

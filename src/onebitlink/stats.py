@@ -6,7 +6,8 @@ Gaussian with mean x, so every first and second moment of the quantizer output
 closed form in the Gauss error function. `conditional_moments` derives them
 all term by term, as the reference the oracle and the tests check against;
 `symbol_kernel` and `assemble_stats` build the mean and covariance of the
-stacked real received vector that the exact-statistics detector consumes.
+stacked real received vector that the exact-statistics detector consumes,
+from the per-channel `receive_basis`.
 
 Stacked-real convention: real parts first. A complex length-n vector v maps
 to the real length-2n vector stack_ri(v) = [Re v; Im v] (a batch of vectors
@@ -137,6 +138,31 @@ def conditional_moments(x: np.ndarray, H: np.ndarray, G: np.ndarray,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class ReceiveBasis:
+    """What the received statistics need of one channel H, built once per channel.
+
+    He = embed(H), the row-wise Khatri-Rao product kr of He with itself,
+    kr[i * 2M + j] = He[i] * He[j], shape (4M^2, 2N), and the eigenbasis
+    He He^T = embed(H H^H) = V diag(lam) V^T, with lam clipped at 0. Every
+    candidate's covariance is a congruence by He (see `SymbolKernel`), so
+    this is the one object the kernels and the detector's bound share.
+    """
+
+    He: np.ndarray   # (2M, 2N)
+    kr: np.ndarray   # (4M^2, 2N)
+    lam: np.ndarray  # (2M,) ascending eigenvalues of He He^T, at least 0
+    V: np.ndarray    # (2M, 2M) orthonormal eigenvectors, one per column
+
+
+def receive_basis(H: np.ndarray) -> ReceiveBasis:
+    """The per-channel `ReceiveBasis` of the channel matrix H, shape (M, N)."""
+    He = embed(H)
+    kr = (He[:, None, :] * He[None, :, :]).reshape(-1, He.shape[1])
+    lam, V = np.linalg.eigh(He @ He.T)
+    return ReceiveBasis(He=He, kr=kr, lam=np.maximum(lam, 0.0), V=V)
+
+
+@dataclass(frozen=True)
 class SymbolKernel:
     """SNR-independent core of the received statistics, one per candidate.
 
@@ -147,10 +173,11 @@ class SymbolKernel:
         mu_y(rho)    = sqrt(rho) * mean_core
         Sigma_y(rho) = rho * inner + I/2,   inner = embed(H) diag(d) embed(H)^T
 
-    The fields stack over the leading axes of x. With He = embed(H), the
-    inner matrices of all candidates come from one GEMM of the stacked d
-    against the row-wise Khatri-Rao product He[i, :] * He[j, :], of shape
-    (4M^2, 2N).
+    The fields stack over the leading axes of x. The inner matrices of all
+    candidates come from one GEMM of the stacked d against the channel's
+    Khatri-Rao product `ReceiveBasis.kr`. dmax = max(d) bounds D = diag(d)
+    by dmax I, so Sigma_y <= I/2 + rho dmax embed(H H^H) in the Loewner order:
+    the detector's pruning bound.
 
     This is algebraically identical to the term-by-term route of
     `conditional_moments`, where mu_y is sqrt(rho) stack_ri(H G x) plus its
@@ -161,18 +188,22 @@ class SymbolKernel:
 
     mean_core: np.ndarray  # (..., 2M)
     inner: np.ndarray      # (..., 2M, 2M)
+    dmax: np.ndarray       # (...,) largest per-axis variance of the quantizer output
 
 
-def symbol_kernel(H: np.ndarray, x: np.ndarray, sigma2: float, eta: float) -> SymbolKernel:
-    """Kernel of the precoded vector x, shape (N,), or of each row of x, shape (L, N)."""
+def symbol_kernel(basis: ReceiveBasis, x: np.ndarray, sigma2: float,
+                  eta: float) -> SymbolKernel:
+    """Kernel of the precoded vector x, shape (N,), or of each row of x, shape (L, N).
+
+    basis is the channel's `receive_basis`.
+    """
     _check_sigma(sigma2)
-    He = embed(H)
+    He = basis.He
     phi = _phi(np.asarray(x, dtype=np.complex128), sigma2)
     mean_core = np.sqrt(eta / 2.0) * phi @ He.T
     d = (eta / 2.0) * (1.0 - phi * phi)
-    kr = (He[:, None, :] * He[None, :, :]).reshape(-1, He.shape[1])
-    inner = (d @ kr.T).reshape(d.shape[:-1] + (He.shape[0],) * 2)
-    return SymbolKernel(mean_core=mean_core, inner=inner)
+    inner = (d @ basis.kr.T).reshape(d.shape[:-1] + (He.shape[0],) * 2)
+    return SymbolKernel(mean_core=mean_core, inner=inner, dmax=d.max(axis=-1))
 
 
 def assemble_stats(kernel: SymbolKernel, rho: float):

@@ -17,7 +17,7 @@ from onebitlink.harness import (ExperimentConfig, csv_equal_ignoring_timing,
                                 run_sweep, to_csv_text, write_csv)
 from onebitlink.oracle import (default_instances, mc_gaussian_loglike,
                                mc_moment, validate_instance)
-from onebitlink.stats import assemble_stats, symbol_kernel
+from onebitlink.stats import assemble_stats, receive_basis, symbol_kernel
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str):
@@ -64,14 +64,15 @@ def test_criterion_3_ml_matches_dense_oracle():
         H = (rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))) / np.sqrt(2)
         sigma2, eta, rho = 0.1, 1.0 / 6, 2.0
         table = build_candidate_table(
-            build_candidate_kernels(H, W, const, sigma2, eta), rho)
+            build_candidate_kernels(receive_basis(H), W, const, sigma2, eta), rho)
         Y = rng.standard_normal((100, 2)) + 1j * rng.standard_normal((100, 2))
         got = ml_detect_batch(Y, table)[0][:, 0]
         # independent dense-inverse path, rebuilt without the cached factors
         sigmas = []
         mus = []
         for sym in const.points:
-            mu, Sigma = assemble_stats(symbol_kernel(H, W[:, 0] * sym, sigma2, eta), rho)
+            mu, Sigma = assemble_stats(
+                symbol_kernel(receive_basis(H), W[:, 0] * sym, sigma2, eta), rho)
             mus.append(mu)
             sigmas.append(Sigma)
         Yp = np.concatenate([Y.real, Y.imag], axis=1)

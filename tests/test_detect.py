@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import erf
 
 from onebitlink import detect
 from onebitlink.core import (ParameterError, chol_logdet, make_constellation, qam16, qpsk,
@@ -16,7 +17,7 @@ from onebitlink.detect import (CandidateTable, build_candidate_kernels,
                                ml_detect_exhaustive, slice_min_distance_batch)
 from onebitlink.oracle import mc_gaussian_loglike
 from onebitlink.stats import (assemble_stats, conditional_moments, embed, lmmse_gain,
-                              stack_ri, symbol_kernel)
+                              receive_basis, stack_ri, symbol_kernel)
 from onebitlink.txchain import bussgang_gain, cov_xd, cov_xq_unconditional
 
 
@@ -29,13 +30,13 @@ def _system(seed, n=6, m=2, k=1):
 
 def _table(H, W, constellation, sigma2, eta, rho):
     return build_candidate_table(
-        build_candidate_kernels(H, W, constellation, sigma2, eta), rho)
+        build_candidate_kernels(receive_basis(H), W, constellation, sigma2, eta), rho)
 
 
 def _direct_stats(H, W, constellation, sigma2, eta, rho):
     # (mu, Sigma) of every candidate, built without the quarter-turn symmetry
     _, symbols = enumerate_candidates(constellation, W.shape[1])
-    return assemble_stats(symbol_kernel(H, symbols @ W.T, sigma2, eta), rho)
+    return assemble_stats(symbol_kernel(receive_basis(H), symbols @ W.T, sigma2, eta), rho)
 
 
 def _position_chol(table, c):
@@ -47,9 +48,11 @@ def _position_chol(table, c):
 
 
 def _fields(table, pos):
-    # the per-position fields of a table, taken at positions pos
+    # the per-position fields of a table, taken at positions pos, and its
+    # eigenbasis and per-orbit bound weights
     return dict(indices=table.indices[pos], orbit=table.orbit[pos], turns=table.turns[pos],
-                mu=table.mu[pos], logdet=table.logdet[pos], norm=table.norm[pos])
+                mu=table.mu[pos], logdet=table.logdet[pos], eigvecs=table.eigvecs,
+                weight=table.weight)
 
 
 def test_enumerate_candidates_order_and_cover():
@@ -115,16 +118,16 @@ def test_ml_prefers_own_mean_and_breaks_ties_low():
                              turns=np.zeros(2, dtype=np.int64),
                              mu=np.repeat(base.mu[:1], 2, axis=0),
                              inv_chol=np.repeat(base.inv_chol[:1], factors, axis=0),
-                             logdet=np.repeat(base.logdet[:1], 2),
-                             norm=np.repeat(base.norm[:1], 2))
+                             logdet=np.repeat(base.logdet[:1], 2), eigvecs=base.eigvecs,
+                             weight=np.repeat(base.weight[:1], factors, axis=0))
         got, _ = ml_detect_batch(Y, dup)
         assert np.all(got == 0)
     # y placed exactly at candidate c's mean, shared covariance -> c wins
     shared = CandidateTable(indices=base.indices, orbit=np.arange(4),
                             turns=np.zeros(4, dtype=np.int64), mu=base.mu,
                             inv_chol=np.repeat(base.inv_chol[:1], 4, axis=0),
-                            logdet=np.repeat(base.logdet[:1], 4),
-                            norm=np.repeat(base.norm[:1], 4))
+                            logdet=np.repeat(base.logdet[:1], 4), eigvecs=base.eigvecs,
+                            weight=np.repeat(base.weight[:1], 4, axis=0))
     m = H.shape[0]
     for c in range(4):
         y = shared.mu[c][:m] + 1j * shared.mu[c][m:]
@@ -161,7 +164,10 @@ def test_pruned_ml_equals_exhaustive(seed, n, m, k, sigma2, rho, const, draw):
     eta = 1.0 / n
     table = _table(H, W, constellation, sigma2, eta, rho)
     Sigma = _direct_stats(H, W, constellation, sigma2, eta, rho)[1]
-    assert_allclose(table.norm, [np.linalg.norm(S, np.inf) for S in Sigma], rtol=1e-12)
+    # each candidate's covariance lies below its bound matrix V diag(1/w) V^T
+    V, w = table.eigvecs, table.weight[table.orbit]
+    gap = np.linalg.eigvalsh((V / w[:, None, :]) @ V.T - Sigma).min(axis=1)
+    assert np.all(gap >= -1e-12 * np.abs(Sigma).max(axis=(1, 2)))
     nv = 64
     if draw == "random":
         Y = np.sqrt(1.0 + rho) * (rng.standard_normal((nv, m))
@@ -186,6 +192,59 @@ def test_pruned_ml_equals_exhaustive(seed, n, m, k, sigma2, rho, const, draw):
     if rho == 0.0:
         # mu = 0 and Sigma = I/2 for every candidate: all scores tie
         assert np.all(got == table.indices[0])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 8), m=st.integers(1, 6),
+       k=st.integers(1, 3), sigma2=st.floats(0.01, 10.0),
+       rho=st.sampled_from([0.0, 3.0, 1e4]), const=st.sampled_from(["qpsk", "16qam"]),
+       draw=st.sampled_from(["model", "random", "means"]), jitter=st.booleans())
+@example(seed=1, n=2, m=5, k=1, sigma2=0.1, rho=1e4, const="16qam", draw="model",
+         jitter=False)
+@example(seed=2, n=3, m=6, k=2, sigma2=0.05, rho=3.0, const="qpsk", draw="means",
+         jitter=True)
+@example(seed=3, n=2, m=4, k=2, sigma2=0.5, rho=1e4, const="16qam", draw="random",
+         jitter=True)
+def test_bound_never_exceeds_the_exact_score(seed, n, m, k, sigma2, rho, const, draw,
+                                             jitter):
+    # the pruning bound of every (row, candidate) pair against the exact
+    # score, at rho 0, 3 and 1e4, on channels with M > N (zero eigenvalues
+    # of embed(H H^H)) and on tables whose factorization needed jitter
+    k = min(k, n, m, 2 if const == "16qam" else 3)
+    constellation = make_constellation(const)
+    if jitter:
+        m, rho = n + m, rho or 3.0
+    H, W, rng = _system(seed, n=n, m=m, k=k)
+    eta = 1.0 / n
+    kernels = build_candidate_kernels(receive_basis(H), W, constellation, sigma2, eta)
+    if jitter:
+        # take the I/2 floor and a little more off every covariance, leaving
+        # rho He D He^T - e I: indefinite when M > N, so it factors only with
+        # a jitter t > e, which the weights must then include
+        inner = kernels.kernel.inner
+        e = 1e-10 * np.trace(inner, axis1=1, axis2=2).max() * rho / inner.shape[-1]
+        inner = inner - (0.5 + e) / rho * np.eye(inner.shape[-1])
+        kernels = kernels._replace(kernel=dataclasses.replace(kernels.kernel, inner=inner))
+        assert chol_logdet(assemble_stats(kernels.kernel, rho)[1]).jitter > 0.0
+    table = build_candidate_table(kernels, rho)
+    nv = 32
+    if draw == "random":
+        Y = np.sqrt(1.0 + rho) * (rng.standard_normal((nv, m))
+                                  + 1j * rng.standard_normal((nv, m)))
+    elif draw == "means":
+        picked = table.mu[rng.integers(0, table.n_candidates, nv)]
+        Y = picked[:, :m] + 1j * picked[:, m:]
+    else:
+        S = constellation.points[table.indices[rng.integers(0, table.n_candidates, nv)]]
+        D = (rng.standard_normal((nv, n)) + 1j * rng.standard_normal((nv, n))) * np.sqrt(sigma2 / 2)
+        Z = (rng.standard_normal((nv, m)) + 1j * rng.standard_normal((nv, m))) / np.sqrt(2)
+        Y = np.sqrt(rho) * quantize_1bit(S @ W.T + D, eta) @ H.T + Z
+    Yt = detect._turned_rows(Y, table)
+    terms, coef = detect._bound_terms(Yt[0], table)
+    rows = np.arange(nv)
+    score = np.stack([detect._score(Yt, table, rows, np.full(nv, c))
+                      for c in range(table.n_candidates)], axis=1)
+    assert np.all(terms @ coef <= score)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -260,7 +319,13 @@ def test_quarter_table_matches_direct_full_build(seed, n, m, k, sigma2, rho, con
     assert table.inv_chol.shape[0] == (n_cand if const == "single" else n_cand // 4)
     assert _close(table.mu, mu)
     assert _close(table.logdet, fac.logdet)
-    assert _close(table.norm, np.linalg.norm(Sigma, np.inf, axis=(1, 2)))
+    # bound weights 1/(1/2 + rho dmax lam) with every candidate's own dmax:
+    # the orbit's weights hold for each of its members
+    _, symbols = enumerate_candidates(constellation, k)
+    phi = erf(stack_ri(symbols @ W.T) / np.sqrt(sigma2))
+    dmax = (eta / 2.0 * (1.0 - phi * phi)).max(axis=1)
+    lam = np.maximum(np.linalg.eigvalsh(embed(H @ H.conj().T)), 0.0)
+    assert _close(table.weight[table.orbit], 1.0 / (0.5 + rho * dmax[:, None] * lam))
     for c in range(n_cand):
         L = _position_chol(table, c)
         assert _close(L @ L.T, Sigma[c])

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 import onebitlink
 from onebitlink.cli import main
 from onebitlink.core import ParameterError
-from onebitlink.harness import (CSV_HEADER, ExperimentConfig, SweepReport,
+from onebitlink.stats import receive_basis
+from onebitlink.harness import (CSV_HEADER, MAX_GRID_POINTS, ExperimentConfig, SweepReport,
                                 build_config, csv_equal_ignoring_timing,
                                 dbm_to_linear, parse_config_file, parse_grid,
                                 run_sweep, to_csv_text, write_csv)
@@ -233,6 +234,35 @@ def test_seconds_include_the_per_dither_builds(monkeypatch):
     assert [r.errors for r in grid[0]] == [r.errors for r in grid[2]]
 
 
+def test_receive_basis_built_once_per_channel(monkeypatch):
+    # the basis has the channel's lifetime: a 2-point dither sweep builds the
+    # kernels at both points but the basis once per channel, and a sweep
+    # without ml never builds it
+    from onebitlink import harness
+
+    built, used = [], []
+    build_kernels = harness.build_candidate_kernels
+
+    def counting(H):
+        built.append(receive_basis(H))
+        return built[-1]
+
+    def recording(basis, *args):
+        used.append(basis)
+        return build_kernels(basis, *args)
+
+    monkeypatch.setattr(harness, "receive_basis", counting)
+    monkeypatch.setattr(harness, "build_candidate_kernels", recording)
+    cfg = dict(n_tx=8, n_rx=2, n_channels=3, n_symbol_vectors=10, rho_db=(5.0,),
+               dither_dbm=(0.0, 10.0))
+    run_sweep(ExperimentConfig(detectors=("blmmse", "ml"), **cfg))
+    assert len(built) == 3 and len(used) == 6
+    assert all(u is built[i // 2] for i, u in enumerate(used))
+    built.clear()
+    run_sweep(ExperimentConfig(detectors=("blmmse",), **cfg))
+    assert built == []
+
+
 def test_csv_text_layout(tmp_path):
     rep = run_sweep(_tiny(dither_dbm=(0.0, 10.0), detectors=("ml", "guess")))
     text = to_csv_text(rep)
@@ -290,6 +320,15 @@ def test_parse_grid_forms():
     for raw in ("0:nan:1", "nan:1:2", "0:1:nan", "0:1:inf", "-inf:1:0", "0:inf:1",
                 "0:a:1"):
         with pytest.raises(ParameterError):
+            parse_grid(raw)
+
+
+def test_parse_grid_refuses_too_many_points():
+    # the point count is checked before the list is built, so even a grid
+    # of 10^12 points (or one whose span overflows) is refused at once
+    assert len(parse_grid(f"1:1:{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
+    for raw in (f"0:1:{MAX_GRID_POINTS}", "0:1e-12:1", "-1e308:1:1e308"):
+        with pytest.raises(ParameterError, match="more than"):
             parse_grid(raw)
 
 
@@ -378,7 +417,7 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
     assert main(["--self-check", "--seed", "-1"]) == 2
     assert main(["--config", "/nonexistent/path.cfg"]) == 2
     assert main(["--n", "8", "--m", "2", "--snr-db", "nan"]) == 2
-    for grid in ("0:nan:1", "0:1:inf", "0:a:1"):
+    for grid in ("0:nan:1", "0:1:inf", "0:a:1", "0:1e-12:1"):
         capsys.readouterr()
         assert main(["--snr-db", grid]) == 2, grid
         err = capsys.readouterr().err

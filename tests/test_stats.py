@@ -10,7 +10,7 @@ from onebitlink.core import (ParameterError, SingularityError, chol_logdet, qam1
                              quantize_1bit, substream)
 from onebitlink.oracle import _CONDITIONAL_KINDS
 from onebitlink.stats import (assemble_stats, conditional_moments, cross_corr_cond,
-                              embed, lmmse_gain, stack_ri, symbol_kernel)
+                              embed, lmmse_gain, receive_basis, stack_ri, symbol_kernel)
 
 
 def _instance(seed, n=4, m=3, k=2, sigma2=0.3):
@@ -206,7 +206,7 @@ def test_noise_stats_conjugation_negates_cross_blocks():
 
 def test_kernel_zero_snr_collapses_to_awgn():
     H, W, s, x, sigma2, eta = _instance(8)
-    mu, Sigma = assemble_stats(symbol_kernel(H, x, sigma2, eta), 0.0)
+    mu, Sigma = assemble_stats(symbol_kernel(receive_basis(H), x, sigma2, eta), 0.0)
     m = H.shape[0]
     assert_allclose(mu, np.zeros(2 * m), atol=1e-14)
     assert_allclose(Sigma, 0.5 * np.eye(2 * m), atol=1e-12)
@@ -228,7 +228,7 @@ def test_symbol_stats_matches_kernel_route(seed, n, m, k, sigma2, rho):
     # assembly, whose signal part sqrt(rho) H G x is added back to its mean
     H, W, s, x, sigma2, eta = _instance(seed, n=n, m=m, k=min(k, n), sigma2=sigma2)
     G = lmmse_gain(x, sigma2, eta)
-    mu, Sigma = assemble_stats(symbol_kernel(H, x, sigma2, eta), rho)
+    mu, Sigma = assemble_stats(symbol_kernel(receive_basis(H), x, sigma2, eta), rho)
     ref = conditional_moments(x, H, G, sigma2, eta, rho)
     mu_n = ref["noise_mean"]
     assert np.max(np.abs(mu - (np.sqrt(rho) * stack_ri(H @ G @ x) + mu_n))) < 1e-10
@@ -237,7 +237,7 @@ def test_symbol_stats_matches_kernel_route(seed, n, m, k, sigma2, rho):
 
 def test_kernel_cholesky_is_coherent():
     H, W, s, x, sigma2, eta = _instance(12)
-    _, Sigma = assemble_stats(symbol_kernel(H, x, sigma2, eta), 3.0)
+    _, Sigma = assemble_stats(symbol_kernel(receive_basis(H), x, sigma2, eta), 3.0)
     fac = chol_logdet(Sigma)
     assert fac.jitter == 0.0
     assert_allclose(fac.factor @ fac.factor.T, Sigma, atol=1e-10)
@@ -248,12 +248,51 @@ def test_kernel_cholesky_is_coherent():
 
 def test_symbol_kernel_mean_scales_with_sqrt_snr():
     H, W, s, x, sigma2, eta = _instance(13)
-    kern = symbol_kernel(H, x, sigma2, eta)
+    kern = symbol_kernel(receive_basis(H), x, sigma2, eta)
     mu1, S1 = assemble_stats(kern, 1.0)
     mu4, S4 = assemble_stats(kern, 4.0)
     assert_allclose(mu4, 2.0 * mu1, atol=1e-14)
     assert_allclose(S4 - 0.5 * np.eye(S4.shape[0]),
                     4.0 * (S1 - 0.5 * np.eye(S1.shape[0])), atol=1e-13)
+
+
+@pytest.mark.parametrize("m, n, rows", [(3, 6, 5), (6, 4, 3), (2, 2, 1)])
+def test_kernel_from_receive_basis_equals_direct_khatri_rao(m, n, rows):
+    # the per-channel basis only moves where the GEMM operands are built:
+    # the kernels equal, bit for bit, those from embed(H) and its row-wise
+    # Khatri-Rao product formed on the spot
+    rng = substream(20 + m, 50)
+    H = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
+    X = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    sigma2, eta = 0.3, 1.0 / n
+    He = np.block([[H.real, -H.imag], [H.imag, H.real]])
+    kr = np.stack([He[i] * He[j] for i in range(2 * m) for j in range(2 * m)])
+    phi = erf(stack_ri(X) / np.sqrt(sigma2))
+    d = (eta / 2.0) * (1.0 - phi * phi)
+    kern = symbol_kernel(receive_basis(H), X, sigma2, eta)
+    assert np.array_equal(kern.inner, (d @ kr.T).reshape(rows, 2 * m, 2 * m))
+    assert np.array_equal(kern.mean_core, np.sqrt(eta / 2.0) * phi @ He.T)
+    assert np.array_equal(kern.dmax, d.max(axis=1))
+    one = symbol_kernel(receive_basis(H), X[0], sigma2, eta)
+    assert one.inner.shape == (2 * m, 2 * m) and one.dmax == d[0].max()
+
+
+@pytest.mark.parametrize("m, n", [(3, 6), (6, 4), (4, 4)])
+def test_receive_basis_eigenbasis(m, n):
+    # embed(H H^H) = V diag(lam) V^T with V orthonormal and lam ascending and
+    # non-negative; an M > N channel has 2(M - N) zero eigenvalues
+    rng = substream(30 + m, 50)
+    H = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
+    basis = receive_basis(H)
+    G = embed(H @ H.conj().T)
+    assert np.array_equal(basis.He, embed(H))
+    assert basis.kr.shape == (4 * m * m, 2 * n)
+    assert np.all(basis.lam >= 0.0) and np.all(np.diff(basis.lam) >= 0.0)
+    assert_allclose(basis.V.T @ basis.V, np.eye(2 * m), atol=1e-13)
+    assert_allclose((basis.V * basis.lam) @ basis.V.T, G, atol=1e-12 * np.abs(G).max())
+    zeros = 2 * max(m - n, 0)
+    assert np.all(basis.lam[:zeros] <= 1e-12 * basis.lam[-1])
+    assert np.all(basis.lam[zeros:] > 1e-6 * basis.lam[-1])
 
 
 def test_cross_corr_zero_symbol_pinned():
@@ -324,7 +363,7 @@ def test_symbol_stats_covariance_reduces_to_noise_covariance():
     # kernel's received covariance equals the effective-noise covariance
     H, W, s, x, sigma2, eta = _instance(63)
     rho = 3.0
-    _, Sigma = assemble_stats(symbol_kernel(H, x, sigma2, eta), rho)
+    _, Sigma = assemble_stats(symbol_kernel(receive_basis(H), x, sigma2, eta), rho)
     G = lmmse_gain(x, sigma2, eta)
     ref = conditional_moments(x, H, G, sigma2, eta, rho)
     mu_n = ref["noise_mean"]
