@@ -5,9 +5,11 @@ objective of the receive model conditioned on that candidate (mean +
 covariance from `stats`), using cached inverse Cholesky factors, so its cost
 does not depend on the transmit array size once the table is built. It is an
 exact pruned search: a lower bound in the channel's eigenbasis rules most
-candidates out, and only the rest are scored exactly (see `ml_detect_batch`).
-`ml_detect_exhaustive` scores every candidate and is the reference the tests
-compare against.
+candidates out, and the rest are scored exactly in ascending bound, each
+vector stopping once its next bound exceeds its best score (see
+`ml_detect_batch`). Every exact score comes from one pair scorer,
+`_score_pairs`. `ml_detect_exhaustive` scores every candidate through it and
+is the reference the tests compare against.
 
 The received statistics are equivariant under the quarter turn s -> j s of
 all streams at once: with Q = embed(j I_M), a signed permutation,
@@ -38,9 +40,11 @@ BOUND_SLACK = 1e-9
 # Entries per block of work: keeps a (vectors x candidates) bound matrix, or a
 # block of covariances being factored, at about 4 MB.
 BLOCK_ENTRIES = 2 ** 19
-# Surviving (vector, candidate) pairs held before they are scored. Scoring
-# groups pairs by candidate, so the more vectors a group spans the fewer
-# products; the cap bounds memory when the bound prunes little.
+# Surviving (vector, candidate) pairs held, with their bounds, before they are
+# scored. Each best-first round scores the next pair of every held vector at
+# once, so the more vectors a flush spans, the fewer rounds in all and the more
+# pairs each orbit's product covers; the cap bounds memory when the bound
+# prunes little.
 SURVIVOR_CAP = 2 ** 20
 
 
@@ -189,39 +193,64 @@ def _turned_rows(Y: np.ndarray, table: CandidateTable) -> np.ndarray:
     return np.stack([_turn(Yp, -k) for k in range(4)])
 
 
-def _score(Yt: np.ndarray, table: CandidateTable, rows: np.ndarray,
-           cands: np.ndarray) -> np.ndarray:
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Positions where a run of equal keys starts."""
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _rep_means(table: CandidateTable) -> np.ndarray:
+    """Each orbit's representative mean Q^{-turns} mu, shape (orbits, 2M).
+
+    The turn is an exact swap and sign flip, so every member of an orbit
+    gives the same bits.
+    """
+    mu_rep = np.zeros((table.inv_chol.shape[0], table.mu.shape[1]))
+    for k in range(4):
+        at = table.turns == k
+        mu_rep[table.orbit[at]] = _turn(table.mu[at], -k)
+    return mu_rep
+
+
+def _score_pairs(Yt: np.ndarray, mu_rep: np.ndarray, table: CandidateTable,
+                 rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """Exact objective of candidate cands[i] for received row rows[i].
 
-    All of cands share one orbit, so this is one product with the
-    representative's factor. The squared norm pairs each antenna's Re and Im
-    terms, so a quarter turn of u only reorders additions that commute, and
-    tied members of an orbit round identically.
+    The pairs may mix orbits. Their residuals Q^{-k} y' - mu_r are gathered
+    once, in orbit order (stable, so each orbit keeps the given order of its
+    pairs); each orbit's contiguous slice then gets one product with its
+    representative's factor, so a pair's score depends only on the rows its
+    orbit shares the product with. The squared norm pairs each antenna's Re
+    and Im terms, so a quarter turn of the residual only reorders additions
+    that commute, and tied members of an orbit round identically.
     """
-    c0 = cands[0]
-    mu = _turn(table.mu[c0], -table.turns[c0])  # the representative's mean
-    u = (Yt[table.turns[cands], rows] - mu) @ table.inv_chol[table.orbit[c0]].T
+    orbit = table.orbit[cands]
+    order = np.argsort(orbit, kind="stable")
+    orbit, cands = orbit[order], cands[order]
+    u = Yt[table.turns[cands], rows[order]] - mu_rep[orbit]
+    starts = _run_starts(orbit)
+    for lo, hi in zip(starts, [*starts[1:], orbit.size]):
+        u[lo:hi] = u[lo:hi] @ table.inv_chol[orbit[lo]].T
     m = u.shape[1] // 2
     np.square(u, out=u)
     u[:, :m] += u[:, m:]
-    return u[:, :m].sum(axis=1) + table.logdet[cands]
-
-
-def _groups(keys: np.ndarray):
-    """Positions of each distinct key in ascending order, one array per key."""
-    order = np.argsort(keys, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+    score = np.empty(orbit.size)
+    score[order] = u[:, :m].sum(axis=1) + table.logdet[cands]
+    return score
 
 
 def ml_detect_exhaustive(Y: np.ndarray, table: CandidateTable):
     """Reference ML: score every candidate exactly (see ml_detect_batch)."""
     Yt = _turned_rows(Y, table)
+    mu_rep = _rep_means(table)
     n = Yt.shape[1]
     rows = np.arange(n)
     best_score = np.full(n, np.inf)
     best = np.zeros(n, dtype=np.int64)
     for c in range(table.n_candidates):
-        score = _score(Yt, table, rows, np.full(n, c))
+        score = _score_pairs(Yt, mu_rep, table, rows, np.full(n, c))
         better = score < best_score
         best_score = np.where(better, score, best_score)
         best = np.where(better, c, best)
@@ -248,8 +277,48 @@ def _bound_terms(Yp: np.ndarray, table: CandidateTable):
     return terms, coef
 
 
+def _take_better(best_score: np.ndarray, best: np.ndarray, rows: np.ndarray,
+                 cands: np.ndarray, score: np.ndarray) -> None:
+    """Move each row's best to its pair where that scores lower, or equal at a lower position.
+
+    rows are distinct. A NaN score never wins, and a row whose scores are all
+    infinite keeps position 0, as in the exhaustive scan.
+    """
+    held = best_score[rows]
+    better = (score < held) | ((score == held) & (cands < best[rows]))
+    best_score[rows[better]] = score[better]
+    best[rows[better]] = cands[better]
+
+
+def _score_best_first(Yt, mu_rep, table, flat, bound, best_score, best) -> None:
+    """Score held pairs, row * L^K + candidate in flat, in ascending bound per row.
+
+    Every row's next pair is scored in one round, across the rows, until the
+    row's next bound exceeds its best score. A bound is below its
+    candidate's exact score, so no unscored candidate of that row can then
+    win or tie.
+    """
+    n_cand = table.n_candidates
+    # ascending (row, bound), sorted on one integer key: faster than np.lexsort
+    key = np.empty(bound.size, dtype=np.int64)
+    key[np.argsort(bound)] = np.arange(bound.size)
+    key += flat // n_cand * bound.size
+    order = np.argsort(key)
+    rows, cands = np.divmod(flat[order], n_cand)
+    bound = bound[order]
+    nxt = _run_starts(rows)  # each row's next pair to score
+    end = np.append(nxt[1:], rows.size)
+    while nxt.size:
+        r, c = rows[nxt], cands[nxt]
+        _take_better(best_score, best, r, c, _score_pairs(Yt, mu_rep, table, r, c))
+        nxt = nxt + 1
+        go = nxt < end
+        go[go] = bound[nxt[go]] <= best_score[r[go]]
+        nxt, end = nxt[go], end[go]
+
+
 def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
-    """ML decisions for a batch of received vectors, by bound-and-rescore.
+    """ML decisions for a batch of received vectors, by a best-first pruned search.
 
     Y has shape (n, M) complex. Returns (indices (n, K), scores (n,)). Each
     score is the Gaussian objective (y'-mu)^T Sigma^{-1} (y'-mu) + logdet
@@ -267,55 +336,47 @@ def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
     with s = BOUND_SLACK, expanded so that one GEMM per block of vectors
     gives it (`_bound_terms`). Since w_ci <= 2, each term of the expansion
     is at most 4 (||z||^2 + ||m_c||^2) in size, so the slack covers its
-    rounding, that of the eigenbasis and that of the exact scores, and the
-    winner is never ruled out. The vectors go in blocks of
-    BLOCK_ENTRIES bound entries. In each block, every vector's lowest-bound
-    candidate is scored exactly; that score is the vector's threshold, and
-    every candidate whose bound does not exceed it survives. Survivors are
-    held across blocks, up to SURVIVOR_CAP pairs, and scored exactly with
-    the same arithmetic as `ml_detect_exhaustive`, one product per orbit
-    across the vectors. The minimum over those is the exhaustive minimum.
-    Scores can differ from the exhaustive ones by rounding only, because a
-    product over a subset of the rows need not round like one over all of
-    them.
+    rounding, that of the eigenbasis and that of the exact scores: every
+    bound lies below its candidate's exact score, and the winner is never
+    ruled out. The vectors go in blocks of BLOCK_ENTRIES bound entries. In
+    each block, every vector's lowest-bound candidate is scored exactly and
+    becomes its best; every other candidate whose bound does not exceed that
+    score survives, and is held with its bound, across blocks up to
+    SURVIVOR_CAP pairs. At the flush each vector's survivors are scored in
+    ascending bound, one per vector per round (`_score_best_first`), and a
+    vector stops once its next bound exceeds its best score. Exact scores
+    come from `_score_pairs`, the arithmetic of `ml_detect_exhaustive`, and
+    the best is the lowest score, then the lowest position, so the decision
+    is the exhaustive one. Scores can differ from the exhaustive ones by
+    rounding only, because a product over a subset of the rows need not
+    round like one over all of them.
     """
     Yt = _turned_rows(Y, table)
-    n = Yt.shape[1]
+    mu_rep = _rep_means(table)
+    n, n_cand = Yt.shape[1], table.n_candidates
     terms, coef = _bound_terms(Yt[0], table)
 
-    step = max(1, BLOCK_ENTRIES // table.n_candidates)
+    step = max(1, BLOCK_ENTRIES // n_cand)
     best_score = np.full(n, np.inf)
     best = np.zeros(n, dtype=np.int64)
     held, n_held = [], 0
     for lo in range(0, n, step):
         hi = min(lo + step, n)
+        rows = np.arange(lo, hi)
         bound = terms[lo:hi] @ coef
         first = np.argmin(bound, axis=1)
-        threshold = np.empty(hi - lo)
-        for pos in _groups(table.orbit[first]):
-            threshold[pos] = _score(Yt, table, pos + lo, first[pos])
-        keep = bound <= threshold[:, None]
-        # the threshold's own candidate, so no vector is left unscored
-        keep[np.arange(hi - lo), first] = True
-        rows, cands = np.nonzero(keep)
-        held.append((rows + lo, cands))
-        n_held += rows.size
+        _take_better(best_score, best, rows, first,
+                     _score_pairs(Yt, mu_rep, table, rows, first))
+        keep = bound <= best_score[lo:hi, None]
+        keep[rows - lo, first] = False
+        flat = np.flatnonzero(keep)
+        held.append((flat + lo * n_cand, bound.ravel()[flat]))
+        n_held += flat.size
         if hi < n and n_held < SURVIVOR_CAP:
             continue
-        rows, cands = (np.concatenate(part) for part in zip(*held))
+        flat, bound = (np.concatenate(part) for part in zip(*held))
         held, n_held = [], 0
-        scores = np.empty(rows.size)
-        for pos in _groups(table.orbit[cands]):
-            scores[pos] = _score(Yt, table, rows[pos], cands[pos])
-        # pairs run in ascending (row, candidate) order, and all of a row's
-        # pairs are in this batch: a row's winner is its first pair with the
-        # row's lowest score (NaN scores never win, as in the exhaustive scan)
-        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        low = np.fmin.reduceat(scores, starts)
-        hit = np.flatnonzero(scores == np.repeat(low, np.diff(np.r_[starts, rows.size])))
-        win = hit[np.r_[True, rows[hit[1:]] != rows[hit[:-1]]]]
-        best_score[rows[win]] = scores[win]
-        best[rows[win]] = cands[win]
+        _score_best_first(Yt, mu_rep, table, flat, bound, best_score, best)
     return table.indices[best], best_score
 
 

@@ -241,10 +241,103 @@ def test_bound_never_exceeds_the_exact_score(seed, n, m, k, sigma2, rho, const, 
         Y = np.sqrt(rho) * quantize_1bit(S @ W.T + D, eta) @ H.T + Z
     Yt = detect._turned_rows(Y, table)
     terms, coef = detect._bound_terms(Yt[0], table)
-    rows = np.arange(nv)
-    score = np.stack([detect._score(Yt, table, rows, np.full(nv, c))
-                      for c in range(table.n_candidates)], axis=1)
-    assert np.all(terms @ coef <= score)
+    rows, cands = np.divmod(np.arange(nv * table.n_candidates), table.n_candidates)
+    score = detect._score_pairs(Yt, detect._rep_means(table), table, rows, cands)
+    assert np.all(terms @ coef <= score.reshape(nv, -1))
+
+
+@pytest.mark.parametrize("const, k", [("16qam", 2), ("qpsk", 3), ("single", 2)])
+def test_pair_scorer_equals_each_orbit_scored_alone(const, k):
+    # one call over a shuffled mix of orbits against each orbit's pairs scored
+    # alone by a local product with its factor: the same product over the same
+    # rows, so the same bits. "single" has one candidate, its own orbit.
+    H, W, rng = _system(20, n=6, m=3, k=k)
+    table = _table(H, W, make_constellation(const), 0.1, 1.0 / 6, 30.0)
+    Y = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+    Yt = detect._turned_rows(Y, table)
+    mu_rep = detect._rep_means(table)
+    rows = rng.integers(0, 40, 600)
+    cands = rng.integers(0, table.n_candidates, 600)
+    got = detect._score_pairs(Yt, mu_rep, table, rows, cands)
+    orbits = table.orbit[cands]
+    for o in np.unique(orbits):
+        at = np.flatnonzero(orbits == o)
+        r, c = rows[at], cands[at]
+        mu_r = table.mu[(table.orbit == o) & (table.turns == 0)][0]
+        u = (Yt[table.turns[c], r] - mu_r) @ table.inv_chol[o].T
+        u = u * u
+        want = (u[:, :3] + u[:, 3:]).sum(axis=1) + table.logdet[c]
+        assert np.array_equal(got[at], want)
+    assert detect._score_pairs(Yt, mu_rep, table, rows[:0], cands[:0]).shape == (0,)
+
+
+def test_nan_row_decides_position_zero_with_infinite_score():
+    # a NaN received row: every bound and score is NaN, so no candidate beats
+    # the exhaustive scan's start, position 0 at score inf; other rows unaffected
+    H, W, rng = _system(21, n=6, m=3, k=2)
+    table = _table(H, W, qam16(), 0.1, 1.0 / 6, 30.0)
+    Y = rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))
+    Y[7, 1] = np.nan
+    got, got_score = ml_detect_batch(Y, table)
+    want, want_score = ml_detect_exhaustive(Y, table)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[7], table.indices[0]) and got_score[7] == np.inf
+    assert want_score[7] == np.inf
+    assert_allclose(got_score, want_score, rtol=1e-12)
+
+
+def test_equal_scores_with_unequal_bounds_go_to_the_lower_position():
+    # positions 0 and 1 share mean, log-determinant and factor, so their
+    # scores are equal bits; position 1's orbit has half the weights, so its
+    # bound is lower and it is scored first. Position 0 must still win.
+    H, W, rng = _system(22)
+    base = _table(H, W, qpsk(), 0.1, 1.0 / 6, 2.0)
+    tie = CandidateTable(indices=np.array([[0], [1]]), orbit=np.array([0, 1]),
+                         turns=np.zeros(2, dtype=np.int64), mu=np.repeat(base.mu[:1], 2, axis=0),
+                         inv_chol=np.repeat(base.inv_chol[:1], 2, axis=0),
+                         logdet=np.repeat(base.logdet[:1], 2), eigvecs=base.eigvecs,
+                         weight=base.weight[:1] * np.array([[1.0], [0.5]]))
+    Y = rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2))
+    for y in Y:
+        # one vector per call, so both positions' products cover the same row
+        terms, coef = detect._bound_terms(stack_ri(y[None]), tie)
+        bound = (terms @ coef)[0]
+        assert bound[1] < bound[0]
+        idx, score = ml_detect_batch(y[None], tie)
+        want, want_score = ml_detect_exhaustive(y[None], tie)
+        assert idx[0, 0] == 0 and want[0, 0] == 0
+        assert score[0] == want_score[0]
+
+
+def test_best_first_scores_no_more_than_the_first_threshold_leaves(monkeypatch):
+    # K = 3 at rho 1e4: per row, no more exact scores than the first
+    # threshold's own plus one per candidate whose bound does not exceed it
+    H, W, rng = _system(23, n=8, m=6, k=3)
+    table = _table(H, W, qpsk(), 0.01, 1.0 / 8, 1e4)
+    nv = 200
+    S = qpsk().points[table.indices[rng.integers(0, table.n_candidates, nv)]]
+    D = (rng.standard_normal((nv, 8)) + 1j * rng.standard_normal((nv, 8))) * np.sqrt(0.005)
+    Z = (rng.standard_normal((nv, 6)) + 1j * rng.standard_normal((nv, 6))) / np.sqrt(2)
+    Y = 100.0 * quantize_1bit(S @ W.T + D, 1.0 / 8) @ H.T + Z
+    scored = np.zeros(nv, dtype=np.int64)
+    score_pairs = detect._score_pairs
+
+    def counted(Yt, mu_rep, table, rows, cands):
+        np.add.at(scored, rows, 1)
+        return score_pairs(Yt, mu_rep, table, rows, cands)
+
+    monkeypatch.setattr(detect, "_score_pairs", counted)
+    got, _ = ml_detect_batch(Y, table)
+    monkeypatch.undo()
+    assert np.array_equal(got, ml_detect_exhaustive(Y, table)[0])
+    Yt = detect._turned_rows(Y, table)
+    terms, coef = detect._bound_terms(Yt[0], table)
+    bound = terms @ coef
+    first = np.argmin(bound, axis=1)
+    threshold = score_pairs(Yt, detect._rep_means(table), table, np.arange(nv), first)
+    allowed = 1 + (bound <= threshold[:, None]).sum(axis=1)
+    assert np.all(scored >= 1) and np.all(scored <= allowed)
+    assert scored.sum() < allowed.sum()
 
 
 @pytest.mark.parametrize("seed", range(6))
