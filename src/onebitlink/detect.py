@@ -15,9 +15,9 @@ The received statistics are equivariant under the quarter turn s -> j s of
 all streams at once: with Q = embed(j I_M), a signed permutation,
 mu_{js} = Q mu_s and Sigma_{js} = Q Sigma_s Q^T. For an alphabet closed under
 the turn (16-QAM, QPSK) the table therefore builds, factors and stores one
-representative per orbit, and candidate j^k s is scored as its
-representative s on the turned row Q^{-k} y', an exact swap and sign flip.
-An alphabet that is not closed gets orbits of one candidate each.
+representative per orbit (mean, log-determinant and factor), and candidate
+j^k s is scored as s on the turned row Q^{-k} y', an exact swap and sign
+flip. An alphabet that is not closed gets orbits of one candidate each.
 """
 
 from __future__ import annotations
@@ -50,13 +50,13 @@ SURVIVOR_CAP = 2 ** 20
 
 @dataclass(frozen=True)
 class CandidateTable:
-    """Cached per-candidate receive statistics for one channel realization.
+    """Cached receive statistics of the candidates for one channel realization.
 
-    Per table position: the candidate s = j^turns s_r is a quarter turn of
-    its orbit's representative s_r, whose inverse Cholesky factor
-    L^{-1} (Sigma_r = L L^T, lower triangular up to rounding) is
-    inv_chol[orbit]. So mu = Q^turns mu_r, and the candidate's quadratic
-    form is ||L^{-1} Q^{-turns} (y' - mu)||^2.
+    The statistics are kept once per orbit, for its representative s_r: mean
+    mu_r = mu[orbit], log-determinant logdet[orbit] and inverse Cholesky
+    factor L^{-1} = inv_chol[orbit] (Sigma_r = L L^T, lower triangular up to
+    rounding). Position i holds s = j^turns s_r, with mean Q^turns mu_r, the
+    same log-determinant, and quadratic form ||L^{-1} (Q^{-turns} y' - mu_r)||^2.
 
     The pruning bound reads the channel's eigenbasis eigvecs = V of
     embed(H H^H) = V diag(lam) V^T and, per orbit, the weights
@@ -67,11 +67,11 @@ class CandidateTable:
     """
 
     indices: np.ndarray   # (L^K, K) per-stream constellation indices
-    orbit: np.ndarray     # (L^K,) row of inv_chol holding the representative's factor
+    orbit: np.ndarray     # (L^K,) row of the per-orbit fields holding the representative
     turns: np.ndarray     # (L^K,) k in 0..3 with s = j^k s_r
-    mu: np.ndarray        # (L^K, 2M) stacked means
+    mu: np.ndarray        # (orbits, 2M) the representatives' stacked means
     inv_chol: np.ndarray  # (orbits, 2M, 2M) inverse lower Cholesky factors L^{-1}
-    logdet: np.ndarray    # (L^K,)
+    logdet: np.ndarray    # (orbits,)
     eigvecs: np.ndarray   # (2M, 2M) eigenvectors V of embed(H H^H), one per column
     weight: np.ndarray    # (orbits, 2M) eigenbasis bound weights 1/(1/2 + t + rho dmax lam)
 
@@ -162,9 +162,9 @@ def build_candidate_table(kernels: CandidateKernels, rho: float) -> CandidateTab
 
     The representatives' covariance stack is factored block by block (one
     `chol_logdet` and one `tril_inv` call per block), and each inverse
-    Cholesky factor overwrites its covariance in the stack. Means and
-    log-determinants are then expanded to every table position; the bound
-    weights stay per orbit, with the jitter t of the representative's block.
+    Cholesky factor overwrites its covariance in the stack. Means,
+    log-determinants and bound weights stay per orbit, the weights with the
+    jitter t of the representative's block.
     """
     mu, inv_chol = assemble_stats(kernels.kernel, rho)
     n_rep, dim = inv_chol.shape[0], inv_chol.shape[-1]
@@ -177,11 +177,10 @@ def build_candidate_table(kernels: CandidateKernels, rho: float) -> CandidateTab
         logdet[lo:lo + step] = fac.logdet
         jitter[lo:lo + step] = fac.jitter
         blk[...] = tril_inv(fac.factor)
-    orbit, turns, basis = kernels.orbit, kernels.turns, kernels.basis
-    full_mu = np.stack([_turn(mu, k) for k in range(4)])[turns, orbit]
+    basis = kernels.basis
     weight = 1.0 / (0.5 + jitter[:, None] + rho * kernels.kernel.dmax[:, None] * basis.lam)
-    return CandidateTable(indices=kernels.indices, orbit=orbit, turns=turns, mu=full_mu,
-                          inv_chol=inv_chol, logdet=logdet[orbit], eigvecs=basis.V,
+    return CandidateTable(indices=kernels.indices, orbit=kernels.orbit, turns=kernels.turns,
+                          mu=mu, inv_chol=inv_chol, logdet=logdet, eigvecs=basis.V,
                           weight=weight)
 
 
@@ -201,21 +200,8 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _rep_means(table: CandidateTable) -> np.ndarray:
-    """Each orbit's representative mean Q^{-turns} mu, shape (orbits, 2M).
-
-    The turn is an exact swap and sign flip, so every member of an orbit
-    gives the same bits.
-    """
-    mu_rep = np.zeros((table.inv_chol.shape[0], table.mu.shape[1]))
-    for k in range(4):
-        at = table.turns == k
-        mu_rep[table.orbit[at]] = _turn(table.mu[at], -k)
-    return mu_rep
-
-
-def _score_pairs(Yt: np.ndarray, mu_rep: np.ndarray, table: CandidateTable,
-                 rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
+def _score_pairs(Yt: np.ndarray, table: CandidateTable, rows: np.ndarray,
+                 cands: np.ndarray) -> np.ndarray:
     """Exact objective of candidate cands[i] for received row rows[i].
 
     The pairs may mix orbits. Their residuals Q^{-k} y' - mu_r are gathered
@@ -229,7 +215,7 @@ def _score_pairs(Yt: np.ndarray, mu_rep: np.ndarray, table: CandidateTable,
     orbit = table.orbit[cands]
     order = np.argsort(orbit, kind="stable")
     orbit, cands = orbit[order], cands[order]
-    u = Yt[table.turns[cands], rows[order]] - mu_rep[orbit]
+    u = Yt[table.turns[cands], rows[order]] - table.mu[orbit]
     starts = _run_starts(orbit)
     for lo, hi in zip(starts, [*starts[1:], orbit.size]):
         u[lo:hi] = u[lo:hi] @ table.inv_chol[orbit[lo]].T
@@ -237,20 +223,19 @@ def _score_pairs(Yt: np.ndarray, mu_rep: np.ndarray, table: CandidateTable,
     np.square(u, out=u)
     u[:, :m] += u[:, m:]
     score = np.empty(orbit.size)
-    score[order] = u[:, :m].sum(axis=1) + table.logdet[cands]
+    score[order] = u[:, :m].sum(axis=1) + table.logdet[orbit]
     return score
 
 
 def ml_detect_exhaustive(Y: np.ndarray, table: CandidateTable):
     """Reference ML: score every candidate exactly (see ml_detect_batch)."""
     Yt = _turned_rows(Y, table)
-    mu_rep = _rep_means(table)
     n = Yt.shape[1]
     rows = np.arange(n)
     best_score = np.full(n, np.inf)
     best = np.zeros(n, dtype=np.int64)
     for c in range(table.n_candidates):
-        score = _score_pairs(Yt, mu_rep, table, rows, np.full(n, c))
+        score = _score_pairs(Yt, table, rows, np.full(n, c))
         better = score < best_score
         best_score = np.where(better, score, best_score)
         best = np.where(better, c, best)
@@ -264,13 +249,16 @@ def _bound_terms(Yp: np.ndarray, table: CandidateTable):
     (n, 4M+1) and coef is [w_c - 4s, -2 w_c m_c, b_c]^T (4M+1, L^K), where
     s = BOUND_SLACK and
     b_c = logdet_c - s (1 + |logdet_c|) + sum(w_c m_c^2) - 4s ||m_c||^2.
+    The one expansion of the per-orbit statistics to table positions:
+    mu_c = Q^turns mu_r (exact), and logdet_c and w_c are the representative's.
     """
     s = BOUND_SLACK
+    orbit = table.orbit
     z = Yp @ table.eigvecs
-    m = table.mu @ table.eigvecs
-    w = table.weight[table.orbit]
+    m = np.stack([_turn(table.mu, k) for k in range(4)])[table.turns, orbit] @ table.eigvecs
+    logdet, w = table.logdet[orbit], table.weight[orbit]
     wm = w * m
-    b = (table.logdet - s * (1.0 + np.abs(table.logdet))
+    b = (logdet - s * (1.0 + np.abs(logdet))
          + np.einsum("ij,ij->i", wm, m) - 4.0 * s * np.einsum("ij,ij->i", m, m))
     terms = np.concatenate([z * z, z, np.ones((z.shape[0], 1))], axis=1)
     coef = np.concatenate([w - 4.0 * s, -2.0 * wm, b[:, None]], axis=1).T
@@ -290,7 +278,7 @@ def _take_better(best_score: np.ndarray, best: np.ndarray, rows: np.ndarray,
     best[rows[better]] = cands[better]
 
 
-def _score_best_first(Yt, mu_rep, table, flat, bound, best_score, best) -> None:
+def _score_best_first(Yt, table, flat, bound, best_score, best) -> None:
     """Score held pairs, row * L^K + candidate in flat, in ascending bound per row.
 
     Every row's next pair is scored in one round, across the rows, until the
@@ -310,7 +298,7 @@ def _score_best_first(Yt, mu_rep, table, flat, bound, best_score, best) -> None:
     end = np.append(nxt[1:], rows.size)
     while nxt.size:
         r, c = rows[nxt], cands[nxt]
-        _take_better(best_score, best, r, c, _score_pairs(Yt, mu_rep, table, r, c))
+        _take_better(best_score, best, r, c, _score_pairs(Yt, table, r, c))
         nxt = nxt + 1
         go = nxt < end
         go[go] = bound[nxt[go]] <= best_score[r[go]]
@@ -352,7 +340,6 @@ def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
     round like one over all of them.
     """
     Yt = _turned_rows(Y, table)
-    mu_rep = _rep_means(table)
     n, n_cand = Yt.shape[1], table.n_candidates
     terms, coef = _bound_terms(Yt[0], table)
 
@@ -366,7 +353,7 @@ def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
         bound = terms[lo:hi] @ coef
         first = np.argmin(bound, axis=1)
         _take_better(best_score, best, rows, first,
-                     _score_pairs(Yt, mu_rep, table, rows, first))
+                     _score_pairs(Yt, table, rows, first))
         keep = bound <= best_score[lo:hi, None]
         keep[rows - lo, first] = False
         flat = np.flatnonzero(keep)
@@ -376,7 +363,7 @@ def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
             continue
         flat, bound = (np.concatenate(part) for part in zip(*held))
         held, n_held = [], 0
-        _score_best_first(Yt, mu_rep, table, flat, bound, best_score, best)
+        _score_best_first(Yt, table, flat, bound, best_score, best)
     return table.indices[best], best_score
 
 

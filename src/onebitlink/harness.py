@@ -67,8 +67,12 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rho_db", tuple(float(v) for v in _as_list(self.rho_db)))
-        object.__setattr__(self, "dither_dbm", tuple(float(v) for v in _as_list(self.dither_dbm)))
+        for name in ("rho_db", "dither_dbm"):
+            raw = getattr(self, name)
+            try:
+                object.__setattr__(self, name, tuple(float(v) for v in _as_list(raw)))
+            except (TypeError, ValueError):
+                raise ParameterError(f"{name} must hold numbers, got {raw!r}") from None
         object.__setattr__(self, "detectors", tuple(_as_list(self.detectors)))
         # plain ints: digest() cannot serialize numpy integers
         for name in ("n_tx", "n_rx", "n_streams", "n_channels", "n_symbol_vectors",

@@ -32,6 +32,12 @@ from .stats import (assemble_stats, conditional_moments, embed, lmmse_gain,
 from .txchain import bussgang_gain, cov_xd, cov_xq_unconditional, cov_y_unconditional
 
 MIN_DRAWS = 10 ** 4
+CHUNK = 200_000  # rows per chunk of a simulation pass; the chunk bounds its memory
+SE_MULT = 4.0  # validate_instance's gate, in standard errors (see its docstring)
+ATOL = 1e-12
+SELF_CHECK_DRAWS = 50_000
+MIN_FRAC = 0.99  # self_check: least share of a quantity's entries within the gate
+EXTRA_RANDOM_INSTANCES = 6  # default_instances: random instances after the grid
 
 # When the dither sits far below a symbol's axis value, every draw emits the
 # same sign and the plug-in standard error collapses to exactly zero while
@@ -118,6 +124,10 @@ def _feed(acc, arrays):
 
 
 def _chunks(draws, chunk):
+    if draws < MIN_DRAWS:
+        raise ParameterError(f"draws must be at least {MIN_DRAWS}, got {draws}")
+    if chunk < 1:
+        raise ParameterError(f"chunk must be at least 1, got {chunk}")
     done = 0
     while done < draws:
         step = min(chunk, draws - done)
@@ -204,7 +214,7 @@ def _run_gauss(W, H, sigma2, eta, rho, draws, rng, kinds, chunk):
 
 def mc_moment(kind: str, sigma2: float, eta: float, x=None, H=None, rho: float = 1.0,
               draws: int = 10 ** 5, rng: np.random.Generator = None,
-              W=None, G=None, chunk: int = 200_000) -> OracleEstimate:
+              W=None, G=None, chunk: int = CHUNK) -> OracleEstimate:
     """Monte-Carlo estimate (with standard errors) of one chain moment.
 
     sigma2 is the dither variance per antenna and eta the quantizer's
@@ -215,8 +225,6 @@ def mc_moment(kind: str, sigma2: float, eta: float, x=None, H=None, rho: float =
     """
     if sigma2 < 0:
         raise ParameterError("dither variance must be non-negative")
-    if draws < MIN_DRAWS:
-        raise ParameterError(f"draws must be at least {MIN_DRAWS}, got {draws}")
     if rng is None:
         rng = substream(0, 0)
     if kind in _CONDITIONAL_KINDS:
@@ -290,11 +298,11 @@ def closed_form_moments(x, H, W, G, sigma2: float, eta: float, rho: float) -> di
     }
 
 
-def validate_instance(spec: InstanceSpec, draws: int, se_mult: float = 4.0,
-                      atol: float = 1e-12, chunk: int = 200_000) -> list[CheckRow]:
+def validate_instance(spec: InstanceSpec, draws: int,
+                      se_mult: float = SE_MULT) -> list[CheckRow]:
     """Gate every closed form of one random instance against simulation.
 
-    An entry passes when |closed - estimate| <= se_mult * stderr + sat + atol
+    An entry passes when |closed - estimate| <= se_mult * stderr + sat + ATOL
     where sat = SATURATION_ALLOWANCE * |closed| / draws absorbs saturated
     sign averages whose plug-in stderr is exactly zero, and the tiny absolute
     floor covers entries the chain produces exactly.
@@ -313,8 +321,8 @@ def validate_instance(spec: InstanceSpec, draws: int, se_mult: float = 4.0,
     closed = closed_form_moments(x, H, W, G, sigma2, eta, spec.rho)
 
     cond = _run_conditional(x, H, G, sigma2, eta, spec.rho, draws, rng,
-                            _CONDITIONAL_KINDS, chunk)
-    gauss = _run_gauss(W, H, sigma2, eta, spec.rho, draws, rng, _GAUSS_KINDS, chunk)
+                            _CONDITIONAL_KINDS, CHUNK)
+    gauss = _run_gauss(W, H, sigma2, eta, spec.rho, draws, rng, _GAUSS_KINDS, CHUNK)
     estimates = {**cond, **gauss}
 
     label = (f"N={spec.n_tx} M={spec.n_rx} K={spec.n_streams} "
@@ -324,28 +332,28 @@ def validate_instance(spec: InstanceSpec, draws: int, se_mult: float = 4.0,
         est = estimates[name]
         err = np.abs(target - est.value)
         sat = SATURATION_ALLOWANCE * np.abs(target) / est.draws
-        tol = se_mult * est.stderr + sat + atol
-        z = err / np.maximum(est.stderr + sat / se_mult, atol)
+        tol = se_mult * est.stderr + sat + ATOL
+        z = err / np.maximum(est.stderr + sat / se_mult, ATOL)
         rows.append(CheckRow(instance=label, quantity=name,
                              entries=int(err.size), within=int(np.sum(err <= tol)),
                              max_z=float(z.max())))
     return rows
 
 
-def default_instances(extra_random: int = 6, base_seed: int = 0) -> list[InstanceSpec]:
+def default_instances() -> list[InstanceSpec]:
     """Instance grid used by the acceptance gate; >= 20 instances total."""
     specs = []
-    seed = base_seed
+    seed = 0
     for n_tx in (2, 4, 8):
         for k in (1, 2):
             for s2 in (0.01, 0.1, 1.0):
-                rng = substream(base_seed, 11, seed)
+                rng = substream(0, 11, seed)
                 specs.append(InstanceSpec(
                     n_tx=n_tx, n_rx=int(rng.integers(2, 5)), n_streams=min(k, n_tx),
                     sigma2=s2, rho=float(rng.uniform(0.5, 8.0)), seed=seed))
                 seed += 1
-    for _ in range(extra_random):
-        rng = substream(base_seed, 11, seed)
+    for _ in range(EXTRA_RANDOM_INSTANCES):
+        rng = substream(0, 11, seed)
         specs.append(InstanceSpec(
             n_tx=8, n_rx=int(rng.integers(2, 5)), n_streams=2,
             sigma2=float(rng.choice([0.01, 0.1, 1.0])),
@@ -354,8 +362,7 @@ def default_instances(extra_random: int = 6, base_seed: int = 0) -> list[Instanc
     return specs
 
 
-def self_check(draws: int = 50_000, seed: int = 0, se_mult: float = 4.0,
-               min_frac: float = 0.99) -> tuple[list[CheckRow], bool]:
+def self_check(seed: int = 0) -> tuple[list[CheckRow], bool]:
     """Reduced validation pass for the command-line --self-check mode."""
     specs = [
         InstanceSpec(n_tx=4, n_rx=2, n_streams=1, sigma2=0.1, rho=2.0, seed=seed),
@@ -364,6 +371,6 @@ def self_check(draws: int = 50_000, seed: int = 0, se_mult: float = 4.0,
     ]
     rows = []
     for spec in specs:
-        rows.extend(validate_instance(spec, draws=draws, se_mult=se_mult))
-    ok = all(r.frac_within >= min_frac for r in rows)
+        rows.extend(validate_instance(spec, draws=SELF_CHECK_DRAWS))
+    ok = all(r.frac_within >= MIN_FRAC for r in rows)
     return rows, ok

@@ -47,12 +47,18 @@ def _position_chol(table, c):
     return Qk @ np.linalg.inv(table.inv_chol[table.orbit[c]])
 
 
+def _position_means(table):
+    # every table position's mean Q^turns mu_r, with Q = embed(j I) and mu_r
+    # its orbit's representative mean
+    Q = embed(1j * np.eye(table.mu.shape[1] // 2))
+    Qk = np.stack([np.linalg.matrix_power(Q, k) for k in range(4)])
+    return (Qk[table.turns] @ table.mu[table.orbit][:, :, None])[:, :, 0]
+
+
 def _fields(table, pos):
-    # the per-position fields of a table, taken at positions pos, and its
-    # eigenbasis and per-orbit bound weights
-    return dict(indices=table.indices[pos], orbit=table.orbit[pos], turns=table.turns[pos],
-                mu=table.mu[pos], logdet=table.logdet[pos], eigvecs=table.eigvecs,
-                weight=table.weight)
+    # the per-position fields of a table, taken at positions pos; the
+    # per-orbit fields stay as they are
+    return dict(indices=table.indices[pos], orbit=table.orbit[pos], turns=table.turns[pos])
 
 
 def test_enumerate_candidates_order_and_cover():
@@ -113,18 +119,18 @@ def test_ml_prefers_own_mean_and_breaks_ties_low():
     # two candidates with identical statistics: position 0 must win, whether
     # they are two orbits with equal factors or one orbit at two positions
     Y = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
-    for orbit, factors in (([0, 1], 2), ([0, 0], 1)):
+    for orbit, orbits in (([0, 1], 2), ([0, 0], 1)):
         dup = CandidateTable(indices=np.array([[0], [1]]), orbit=np.array(orbit),
                              turns=np.zeros(2, dtype=np.int64),
-                             mu=np.repeat(base.mu[:1], 2, axis=0),
-                             inv_chol=np.repeat(base.inv_chol[:1], factors, axis=0),
-                             logdet=np.repeat(base.logdet[:1], 2), eigvecs=base.eigvecs,
-                             weight=np.repeat(base.weight[:1], factors, axis=0))
+                             mu=np.repeat(base.mu[:1], orbits, axis=0),
+                             inv_chol=np.repeat(base.inv_chol[:1], orbits, axis=0),
+                             logdet=np.repeat(base.logdet[:1], orbits), eigvecs=base.eigvecs,
+                             weight=np.repeat(base.weight[:1], orbits, axis=0))
         got, _ = ml_detect_batch(Y, dup)
         assert np.all(got == 0)
     # y placed exactly at candidate c's mean, shared covariance -> c wins
     shared = CandidateTable(indices=base.indices, orbit=np.arange(4),
-                            turns=np.zeros(4, dtype=np.int64), mu=base.mu,
+                            turns=np.zeros(4, dtype=np.int64), mu=_position_means(base),
                             inv_chol=np.repeat(base.inv_chol[:1], 4, axis=0),
                             logdet=np.repeat(base.logdet[:1], 4), eigvecs=base.eigvecs,
                             weight=np.repeat(base.weight[:1], 4, axis=0))
@@ -138,7 +144,7 @@ def test_ml_prefers_own_mean_and_breaks_ties_low():
 def test_ml_rejects_empty_table():
     H, W, rng = _system(6)
     base = _table(H, W, qpsk(), 0.1, 1.0 / 6, 2.0)
-    empty = CandidateTable(**_fields(base, slice(0, 0)), inv_chol=base.inv_chol[:0])
+    empty = dataclasses.replace(base, **_fields(base, slice(0, 0)))
     with pytest.raises(ParameterError):
         ml_detect_batch(np.zeros((1, 2), dtype=complex), empty)
     with pytest.raises(ParameterError):
@@ -173,14 +179,14 @@ def test_pruned_ml_equals_exhaustive(seed, n, m, k, sigma2, rho, const, draw):
         Y = np.sqrt(1.0 + rho) * (rng.standard_normal((nv, m))
                                   + 1j * rng.standard_normal((nv, m)))
     elif draw == "means":
-        picked = table.mu[rng.integers(0, table.n_candidates, nv)]
+        picked = _position_means(table)[rng.integers(0, table.n_candidates, nv)]
         Y = picked[:, :m] + 1j * picked[:, m:]
     else:
         if draw == "duplicates":
             # every candidate at two or more table positions, shuffled
             pos = rng.permutation(np.r_[np.arange(table.n_candidates),
                                         rng.integers(0, table.n_candidates, table.n_candidates)])
-            table = CandidateTable(**_fields(table, pos), inv_chol=table.inv_chol)
+            table = dataclasses.replace(table, **_fields(table, pos))
         S = constellation.points[table.indices[rng.integers(0, table.n_candidates, nv)]]
         D = (rng.standard_normal((nv, n)) + 1j * rng.standard_normal((nv, n))) * np.sqrt(sigma2 / 2)
         Z = (rng.standard_normal((nv, m)) + 1j * rng.standard_normal((nv, m))) / np.sqrt(2)
@@ -232,7 +238,7 @@ def test_bound_never_exceeds_the_exact_score(seed, n, m, k, sigma2, rho, const, 
         Y = np.sqrt(1.0 + rho) * (rng.standard_normal((nv, m))
                                   + 1j * rng.standard_normal((nv, m)))
     elif draw == "means":
-        picked = table.mu[rng.integers(0, table.n_candidates, nv)]
+        picked = _position_means(table)[rng.integers(0, table.n_candidates, nv)]
         Y = picked[:, :m] + 1j * picked[:, m:]
     else:
         S = constellation.points[table.indices[rng.integers(0, table.n_candidates, nv)]]
@@ -242,7 +248,7 @@ def test_bound_never_exceeds_the_exact_score(seed, n, m, k, sigma2, rho, const, 
     Yt = detect._turned_rows(Y, table)
     terms, coef = detect._bound_terms(Yt[0], table)
     rows, cands = np.divmod(np.arange(nv * table.n_candidates), table.n_candidates)
-    score = detect._score_pairs(Yt, detect._rep_means(table), table, rows, cands)
+    score = detect._score_pairs(Yt, table, rows, cands)
     assert np.all(terms @ coef <= score.reshape(nv, -1))
 
 
@@ -255,20 +261,18 @@ def test_pair_scorer_equals_each_orbit_scored_alone(const, k):
     table = _table(H, W, make_constellation(const), 0.1, 1.0 / 6, 30.0)
     Y = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
     Yt = detect._turned_rows(Y, table)
-    mu_rep = detect._rep_means(table)
     rows = rng.integers(0, 40, 600)
     cands = rng.integers(0, table.n_candidates, 600)
-    got = detect._score_pairs(Yt, mu_rep, table, rows, cands)
+    got = detect._score_pairs(Yt, table, rows, cands)
     orbits = table.orbit[cands]
     for o in np.unique(orbits):
         at = np.flatnonzero(orbits == o)
         r, c = rows[at], cands[at]
-        mu_r = table.mu[(table.orbit == o) & (table.turns == 0)][0]
-        u = (Yt[table.turns[c], r] - mu_r) @ table.inv_chol[o].T
+        u = (Yt[table.turns[c], r] - table.mu[o]) @ table.inv_chol[o].T
         u = u * u
-        want = (u[:, :3] + u[:, 3:]).sum(axis=1) + table.logdet[c]
+        want = (u[:, :3] + u[:, 3:]).sum(axis=1) + table.logdet[o]
         assert np.array_equal(got[at], want)
-    assert detect._score_pairs(Yt, mu_rep, table, rows[:0], cands[:0]).shape == (0,)
+    assert detect._score_pairs(Yt, table, rows[:0], cands[:0]).shape == (0,)
 
 
 def test_nan_row_decides_position_zero_with_infinite_score():
@@ -322,9 +326,9 @@ def test_best_first_scores_no_more_than_the_first_threshold_leaves(monkeypatch):
     scored = np.zeros(nv, dtype=np.int64)
     score_pairs = detect._score_pairs
 
-    def counted(Yt, mu_rep, table, rows, cands):
+    def counted(Yt, table, rows, cands):
         np.add.at(scored, rows, 1)
-        return score_pairs(Yt, mu_rep, table, rows, cands)
+        return score_pairs(Yt, table, rows, cands)
 
     monkeypatch.setattr(detect, "_score_pairs", counted)
     got, _ = ml_detect_batch(Y, table)
@@ -334,7 +338,7 @@ def test_best_first_scores_no_more_than_the_first_threshold_leaves(monkeypatch):
     terms, coef = detect._bound_terms(Yt[0], table)
     bound = terms @ coef
     first = np.argmin(bound, axis=1)
-    threshold = score_pairs(Yt, detect._rep_means(table), table, np.arange(nv), first)
+    threshold = score_pairs(Yt, table, np.arange(nv), first)
     allowed = 1 + (bound <= threshold[:, None]).sum(axis=1)
     assert np.all(scored >= 1) and np.all(scored <= allowed)
     assert scored.sum() < allowed.sum()
@@ -376,12 +380,13 @@ def test_stacked_table_matches_term_by_term_route(seed, n, m, k, sigma2, rho):
     constellation = qpsk()
     table = _table(H, W, constellation, sigma2, eta, rho)
     X = constellation.points[table.indices] @ W.T
+    mu = _position_means(table)
     for c, x in enumerate(X):
         G = lmmse_gain(x, sigma2, eta)
         ref = conditional_moments(x, H, G, sigma2, eta, rho)
         mu_n = ref["noise_mean"]
         L = _position_chol(table, c)
-        assert np.max(np.abs(table.mu[c] - (np.sqrt(rho) * stack_ri(H @ G @ x) + mu_n))) < 1e-10
+        assert np.max(np.abs(mu[c] - (np.sqrt(rho) * stack_ri(H @ G @ x) + mu_n))) < 1e-10
         assert np.max(np.abs(L @ L.T - (ref["noise_cov"] - np.outer(mu_n, mu_n)))) < 1e-10
 
 
@@ -397,6 +402,7 @@ def _close(got, want, rel=1e-12):
        const=st.sampled_from(["qpsk", "16qam", "single"]))
 @example(seed=7, n=6, m=3, k=2, sigma2=0.2, rho=5.0, const="16qam")
 @example(seed=8, n=8, m=6, k=3, sigma2=0.01, rho=1e4, const="qpsk")
+@example(seed=2, n=1, m=5, k=1, sigma2=1.0, rho=606.0, const="single")
 def test_quarter_table_matches_direct_full_build(seed, n, m, k, sigma2, rho, const):
     # every table position against symbol_kernel + assemble_stats + chol_logdet
     # over all L^K candidates, with no use of the quarter-turn symmetry
@@ -409,15 +415,21 @@ def test_quarter_table_matches_direct_full_build(seed, n, m, k, sigma2, rho, con
     fac = chol_logdet(Sigma)
     n_cand = constellation.size ** k
     assert table.n_candidates == n_cand
-    assert table.inv_chol.shape[0] == (n_cand if const == "single" else n_cand // 4)
-    assert _close(table.mu, mu)
-    assert _close(table.logdet, fac.logdet)
+    # one row per orbit in every per-orbit field
+    orbits = n_cand if const == "single" else n_cand // 4
+    for field in (table.mu, table.logdet, table.inv_chol, table.weight):
+        assert field.shape[0] == orbits
+    assert _close(_position_means(table), mu)
+    assert _close(table.logdet[table.orbit], fac.logdet)
     # bound weights 1/(1/2 + rho dmax lam) with every candidate's own dmax:
-    # the orbit's weights hold for each of its members
+    # the orbit's weights hold for each of its members. lam is the basis's
+    # (test_receive_basis_eigenbasis checks it): a second eigensolver's zero
+    # eigenvalues differ by about eps lam_max, which the weights scale by
+    # rho dmax w^2, up to 2e4
     _, symbols = enumerate_candidates(constellation, k)
     phi = erf(stack_ri(symbols @ W.T) / np.sqrt(sigma2))
     dmax = (eta / 2.0 * (1.0 - phi * phi)).max(axis=1)
-    lam = np.maximum(np.linalg.eigvalsh(embed(H @ H.conj().T)), 0.0)
+    lam = receive_basis(H).lam
     assert _close(table.weight[table.orbit], 1.0 / (0.5 + rho * dmax[:, None] * lam))
     for c in range(n_cand):
         L = _position_chol(table, c)

@@ -42,6 +42,10 @@ def test_config_validation_errors():
         ExperimentConfig(rho_db=(float("nan"),))
     with pytest.raises(ParameterError):
         ExperimentConfig(dither_dbm=(0.0, float("inf")))
+    # grid values that are not numbers
+    for bad in (dict(rho_db=[None]), dict(rho_db="abc"), dict(dither_dbm=(1.0, "x"))):
+        with pytest.raises(ParameterError):
+            ExperimentConfig(**bad)
     # grid values whose linear form overflows or underflows to zero dither
     with pytest.raises(ParameterError):
         ExperimentConfig(rho_db=(4000.0,))
@@ -417,9 +421,10 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
     assert main(["--self-check", "--seed", "-1"]) == 2
     assert main(["--config", "/nonexistent/path.cfg"]) == 2
     assert main(["--n", "8", "--m", "2", "--snr-db", "nan"]) == 2
-    for grid in ("0:nan:1", "0:1:inf", "0:a:1", "0:1e-12:1"):
+    for flag, grid in (("--snr-db", "0:nan:1"), ("--snr-db", "0:1:inf"), ("--snr-db", "0:a:1"),
+                       ("--snr-db", "0:1e-12:1"), ("--snr-db", "abc"), ("--dither-dbm", "1,x")):
         capsys.readouterr()
-        assert main(["--snr-db", grid]) == 2, grid
+        assert main([flag, grid]) == 2, grid
         err = capsys.readouterr().err
         assert err.startswith("onebitlink: configuration error") and len(err.splitlines()) == 1
     small = ["--n", "8", "--m", "2", "--channels", "1", "--symbols", "20"]
@@ -429,7 +434,7 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
     assert main(["--n", "8", "--m", "6", "--k", "5", "--channels", "1",
                  "--symbols", "10", "--detectors", "ml"]) == 2
     for line in ("angular_spread = nan", "angular_spread = abc", "constellation = 5",
-                 "rho_db = 0:1:inf", "dither_dbm = 0:nan:1"):
+                 "rho_db = 0:1:inf", "dither_dbm = 0:nan:1", "rho_db = abc"):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         assert main(small + ["--config", str(cfg)]) == 2, line

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 
 from onebitlink.core import ParameterError, chol_logdet, qam16, quantize_1bit, substream
-from onebitlink.oracle import (SATURATION_ALLOWANCE, InstanceSpec,
+from onebitlink.oracle import (MIN_DRAWS, SATURATION_ALLOWANCE, InstanceSpec,
                                closed_form_moments, default_instances,
                                mc_gaussian_loglike, mc_moment,
                                validate_instance)
@@ -19,6 +19,15 @@ def _params(sigma2=0.4, n=3):
 def test_mc_moment_enforces_draw_floor():
     with pytest.raises(ParameterError):
         mc_moment("mean_xq", x=np.zeros(3, dtype=complex), **_params(), draws=9999)
+    # a chunk of no rows would never finish the pass
+    with pytest.raises(ParameterError):
+        mc_moment("mean_xq", x=np.zeros(3, dtype=complex), **_params(), chunk=0)
+    # the bundled validation takes the same floor: standard errors over fewer
+    # draws are no gate
+    spec = InstanceSpec(n_tx=4, n_rx=2, n_streams=1, sigma2=0.1, rho=2.0, seed=0)
+    for draws in (0, 100, MIN_DRAWS - 1):
+        with pytest.raises(ParameterError):
+            validate_instance(spec, draws=draws)
 
 
 def test_mc_moment_rejects_unknown_kind_and_missing_args():
