@@ -93,24 +93,35 @@ def quantize_1bit(x: np.ndarray, eta: float) -> np.ndarray:
 # factorizations
 # ---------------------------------------------------------------------------
 
+# Order up to which `chol_logdet` factors a stack by one LAPACK call and
+# inverts it with `tril_inv`; larger blocks go through the block recursion of
+# `_inv_chol_into`. Below it, the recursion's batched products lose to LAPACK.
+CHOL_LEAF = 32
+
+
 class CholFactor(NamedTuple):
-    factor: np.ndarray   # (..., d, d) lower triangular L with S + jitter*I = L L^T
-    logdet: np.ndarray   # (...,) log-determinants; a float for one matrix
-    jitter: float        # largest jitter added to any matrix, 0.0 when none was
+    inv_factor: np.ndarray  # (..., d, d) L^{-1}, L lower triangular with S + jitter*I = L L^T
+    logdet: np.ndarray      # (...,) log-determinants; a float for one matrix
+    jitter: float           # largest jitter added to any matrix, 0.0 when none was
 
 
 def chol_logdet(S: np.ndarray) -> CholFactor:
-    """Lower Cholesky factors and log-determinants of symmetric PD matrices.
+    """Inverse lower Cholesky factors and log-determinants of symmetric PD matrices.
 
-    S is one (d, d) matrix or a (..., d, d) stack, factored by one
-    np.linalg.cholesky call. If that call fails, the matrices are factored
-    one at a time: each that factors as-is keeps its plain factor, and each
+    S is one (d, d) matrix or a (..., d, d) stack; it is never modified. Up
+    to d = CHOL_LEAF the stack is factored by one np.linalg.cholesky call and
+    inverted by `tril_inv`. Above it, one copy of S is overwritten with the
+    inverse factors by the block recursion of `_inv_chol_into`, in batched
+    products over the stack, and its inverse factors have exact zeros above
+    the diagonal. If either route fails, the matrices are factored one at a
+    time from S: each that factors as-is keeps its plain factor, and each
     indefinite one is retried with S + t*I, where t starts at
-    1e-12*trace(S)/d and escalates by factors of 10 up to 1e-6*trace(S)/d.
-    Raises ParameterError naming the first matrix with a NaN or Inf entry
-    before factoring anything (the factorization does not flag a NaN pivot),
-    and FactorizationError carrying the failing pivot index if a matrix is
-    still not positive definite at maximum jitter.
+    1e-12*trace(S)/d and escalates by factors of 10 up to 1e-6*trace(S)/d;
+    the factors are then inverted by `tril_inv`. Raises ParameterError
+    naming the first matrix with a NaN or Inf entry before factoring
+    anything (the factorization does not flag a NaN pivot), and
+    FactorizationError carrying the failing pivot index if a matrix is still
+    not positive definite at maximum jitter.
     """
     S = np.asarray(S, dtype=np.float64)
     if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
@@ -120,13 +131,51 @@ def chol_logdet(S: np.ndarray) -> CholFactor:
         where = "" if S.ndim == 2 else f" at index {tuple(int(i) for i in np.argwhere(bad)[0])}"
         raise ParameterError(f"matrix{where} has non-finite entries (NaN or Inf)")
     try:
-        L, jitter = np.linalg.cholesky(S), 0.0
+        if S.shape[-1] <= CHOL_LEAF:
+            inv, logdet = _inv_chol_leaf(np.linalg.cholesky(S))
+        else:
+            inv = S.copy()
+            logdet = _inv_chol_into(inv)
+        jitter = 0.0
     except np.linalg.LinAlgError:
         L = np.empty_like(S)
         flat = L.reshape(-1, *S.shape[-2:])
         jitter = max(_chol_jittered(Si, out) for Si, out in zip(S.reshape(flat.shape), flat))
-    logdet = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
-    return CholFactor(L, float(logdet) if S.ndim == 2 else logdet, jitter)
+        inv, logdet = _inv_chol_leaf(L)
+    return CholFactor(inv, float(logdet) if S.ndim == 2 else logdet, jitter)
+
+
+def _inv_chol_leaf(L: np.ndarray):
+    """(L^{-1}, log-determinant of L L^T) of a stack of lower Cholesky factors."""
+    return tril_inv(L), 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def _inv_chol_into(A: np.ndarray) -> np.ndarray:
+    """Overwrite a stack of SPD matrices with their inverse lower Cholesky factors.
+
+    With A = [[S11, S21^T], [S21, S22]] split at d/2 and I11 = L11^{-1}, the
+    factor's blocks are L21 = S21 I11^T and L22 L22^T = S22 - L21 L21^T, and
+    the inverse's lower block is -I22 L21 I11. Each block is overwritten in
+    turn (S11 by I11, S22 by its Schur complement and then by I22, S21 by
+    -I22 L21 I11) and the upper block is zeroed, so the only buffers are the
+    products' own. Blocks of order CHOL_LEAF or less are factored by LAPACK.
+    Returns the log-determinants; raises np.linalg.LinAlgError where a leaf
+    is not positive definite, with A then partly overwritten.
+    """
+    d = A.shape[-1]
+    if d <= CHOL_LEAF:
+        inv, logdet = _inv_chol_leaf(np.linalg.cholesky(A))
+        A[...] = np.tril(inv)  # tril_inv's pivoted leaves can round above the diagonal
+        return logdet
+    h = d // 2
+    I11, S21, S22 = A[..., :h, :h], A[..., h:, :h], A[..., h:, h:]
+    logdet = _inv_chol_into(I11)
+    L21 = S21 @ np.swapaxes(I11, -1, -2)
+    S22 -= L21 @ np.swapaxes(L21, -1, -2)
+    logdet += _inv_chol_into(S22)
+    S21[...] = -(S22 @ L21) @ I11
+    A[..., :h, h:] = 0.0
+    return logdet
 
 
 def _chol_jittered(S: np.ndarray, out: np.ndarray) -> float:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Constellation, ParameterError, chol_logdet, tril_inv
+from .core import Constellation, ParameterError, chol_logdet
 from .stats import ReceiveBasis, SymbolKernel, assemble_stats, stack_ri, symbol_kernel
 from .txchain import cov_y_unconditional
 
@@ -160,11 +160,11 @@ def build_candidate_kernels(basis: ReceiveBasis, W, constellation: Constellation
 def build_candidate_table(kernels: CandidateKernels, rho: float) -> CandidateTable:
     """Cached detector statistics at transmit SNR rho from `build_candidate_kernels`.
 
-    The representatives' covariance stack is factored block by block (one
-    `chol_logdet` and one `tril_inv` call per block), and each inverse
-    Cholesky factor overwrites its covariance in the stack. Means,
-    log-determinants and bound weights stay per orbit, the weights with the
-    jitter t of the representative's block.
+    The representatives' covariance stack is factored block by block, one
+    `chol_logdet` call per block, and each inverse Cholesky factor overwrites
+    its covariance in the stack. Means, log-determinants and bound weights
+    stay per orbit, the weights with the jitter t of the representative's
+    block.
     """
     mu, inv_chol = assemble_stats(kernels.kernel, rho)
     n_rep, dim = inv_chol.shape[0], inv_chol.shape[-1]
@@ -173,10 +173,8 @@ def build_candidate_table(kernels: CandidateKernels, rho: float) -> CandidateTab
     step = max(1, BLOCK_ENTRIES // (dim * dim))
     for lo in range(0, n_rep, step):
         blk = inv_chol[lo:lo + step]
-        fac = chol_logdet(blk)
-        logdet[lo:lo + step] = fac.logdet
-        jitter[lo:lo + step] = fac.jitter
-        blk[...] = tril_inv(fac.factor)
+        # unpacked at once, so no block's factors outlive their copy into the stack
+        blk[...], logdet[lo:lo + step], jitter[lo:lo + step] = chol_logdet(blk)
     basis = kernels.basis
     weight = 1.0 / (0.5 + jitter[:, None] + rho * kernels.kernel.dmax[:, None] * basis.lam)
     return CandidateTable(indices=kernels.indices, orbit=kernels.orbit, turns=kernels.turns,

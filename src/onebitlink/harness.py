@@ -10,6 +10,7 @@ reproducible for any worker count.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import time
@@ -209,13 +210,32 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
     return out
 
 
+def _openblas(name: str, *args):
+    """Call numpy's bundled OpenBLAS function `name`; None where this build has none.
+
+    The symbol is looked up from numpy's linalg extension, which links the
+    library; the names depend on how numpy was built.
+    """
+    try:
+        fn = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name)
+    except (AttributeError, OSError):
+        return None
+    return fn(*args)
+
+
+def _one_blas_thread() -> None:
+    """Worker initializer: one BLAS thread per process, so that workers
+    splitting the channels do not also contend for the cores inside BLAS."""
+    _openblas("scipy_openblas_set_num_threads64_", 1)
+
+
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """Run the configured sweep; deterministic error counts for any worker count."""
     axis, points = cfg.sweep_points()
     workers = min(cfg.workers, cfg.n_channels)
     if workers > 1:
         # the fork start method launches every worker at the first submit
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             futures = [pool.submit(_run_channel, cfg, ci) for ci in range(cfg.n_channels)]
             per_channel = [f.result() for f in futures]
     else:

@@ -9,9 +9,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import onebitlink
-from onebitlink.core import (Constellation, FactorizationError, ParameterError,
-                             chol_logdet, complex_normal, make_constellation, qam16,
-                             qpsk, quantize_1bit, substream, svd_topk, tril_inv)
+from onebitlink.core import (CHOL_LEAF, Constellation, FactorizationError, ParameterError,
+                             _chol_jittered, chol_logdet, complex_normal, make_constellation,
+                             qam16, qpsk, quantize_1bit, substream, svd_topk, tril_inv)
 from onebitlink.stats import stack_ri
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,7 @@ def test_quantize_stacked_real_form_is_bit_identical():
 
 def test_chol_logdet_trivial_cases():
     f = chol_logdet(np.eye(4))
-    assert np.array_equal(f.factor, np.eye(4))
+    assert np.array_equal(f.inv_factor, np.eye(4))
     assert f.logdet == 0.0
     assert chol_logdet(np.diag([2.0, 3.0])).logdet == pytest.approx(np.log(6.0), rel=1e-14)
 
@@ -108,7 +108,7 @@ def test_chol_logdet_matches_slogdet():
     S = A @ A.T + 7 * np.eye(7)
     f = chol_logdet(S)
     assert f.jitter == 0.0
-    assert_allclose(f.factor @ f.factor.T, S, atol=1e-10)
+    assert_allclose(f.inv_factor @ S @ f.inv_factor.T, np.eye(7), atol=1e-10)
     sign, ld = np.linalg.slogdet(S)
     assert sign == 1.0
     assert f.logdet == pytest.approx(ld, rel=1e-12)
@@ -137,13 +137,13 @@ def test_chol_logdet_stack_jitters_only_the_failing_matrix():
     S = A @ A.transpose(0, 2, 1) + 5 * np.eye(5)
     S[1] = np.diag([1.0, 2.0, 0.0, 3.0, 4.0])
     f = chol_logdet(S)
-    assert f.factor.shape == (3, 5, 5) and f.logdet.shape == (3,)
+    assert f.inv_factor.shape == (3, 5, 5) and f.logdet.shape == (3,)
     for i in (0, 2):
-        assert np.array_equal(f.factor[i], np.linalg.cholesky(S[i]))
+        assert np.array_equal(f.inv_factor[i], tril_inv(np.linalg.cholesky(S[i])))
         assert f.logdet[i] == pytest.approx(np.linalg.slogdet(S[i])[1], rel=1e-12)
     alone = chol_logdet(S[1])
     assert alone.jitter > 0.0
-    assert np.array_equal(f.factor[1], alone.factor)
+    assert np.array_equal(f.inv_factor[1], alone.inv_factor)
     assert f.logdet[1] == alone.logdet
     assert f.jitter == alone.jitter
     assert float(f.jitter) == f.jitter and np.ndim(f.jitter) == 0
@@ -193,6 +193,80 @@ def test_tril_inv_inverts_a_stack_of_factors(d):
     assert Li.shape == L.shape
     assert_allclose(Li @ L, np.broadcast_to(np.eye(d), L.shape), atol=1e-13)
     assert_allclose(Li, np.linalg.inv(L), rtol=1e-12, atol=1e-14)
+
+
+def _spd_stack(d, key):
+    # badly scaled rows and columns, so tril_inv's small LU solves pivot and
+    # leave rounding above the diagonal, which the recursion must not keep
+    rng = substream(6, key, d)
+    A = rng.standard_normal((3, d, d))
+    scale = np.exp(rng.uniform(-1.5, 1.5, (3, d)))
+    return (A @ A.transpose(0, 2, 1) / d + 0.5 * np.eye(d)) * scale[:, :, None] * scale[:, None, :]
+
+
+@pytest.mark.parametrize("d", [33, 34, 64, 65, 128, 130])
+def test_chol_logdet_recursive_route_inverts_the_factor(d):
+    # d > CHOL_LEAF: odd orders split into uneven halves at every level
+    assert d > CHOL_LEAF
+    S = _spd_stack(d, 3)
+    before = S.copy()
+    f = chol_logdet(S)
+    assert np.array_equal(S, before)
+    assert f.jitter == 0.0 and f.inv_factor.shape == S.shape
+    assert np.all(np.triu(f.inv_factor, 1) == 0.0)
+    assert_allclose(f.inv_factor @ S @ f.inv_factor.transpose(0, 2, 1),
+                    np.broadcast_to(np.eye(d), S.shape), rtol=0, atol=1e-12)
+    assert_allclose(f.logdet, np.linalg.slogdet(S)[1], rtol=1e-12)
+    one = chol_logdet(S[1])
+    assert_allclose(one.inv_factor, f.inv_factor[1], rtol=0, atol=1e-12)
+    assert isinstance(one.logdet, float)
+
+
+@pytest.mark.parametrize("d", [1, 8, 17, 32])
+def test_chol_logdet_at_the_leaf_is_cholesky_and_tril_inv(d):
+    # d <= CHOL_LEAF: one LAPACK call and tril_inv, bit for bit
+    S = _spd_stack(d, 4)
+    before = S.copy()
+    f = chol_logdet(S)
+    L = np.linalg.cholesky(S)
+    assert np.array_equal(S, before)
+    assert np.array_equal(f.inv_factor, tril_inv(L))
+    assert np.array_equal(f.logdet, 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1))
+
+
+def test_chol_logdet_recursion_jitters_only_the_failing_matrix():
+    # the middle matrix is singular in its last row and column only: its
+    # leading leaves factor and its last Schur leaf fails, so the block goes
+    # the per-matrix way, which jitters that matrix alone
+    d = 66
+    S = _spd_stack(d, 5)
+    S[1, -1, :] = S[1, :, -1] = 0.0
+    before = S.copy()
+    f = chol_logdet(S)
+    assert np.array_equal(S, before)
+    for i in (0, 2):
+        L = np.linalg.cholesky(S[i])
+        assert np.array_equal(f.inv_factor[i], tril_inv(L))
+        assert f.logdet[i] == 2.0 * np.log(np.diag(L)).sum()
+    L = np.empty((d, d))
+    t = _chol_jittered(S[1], L)
+    assert t > 0.0 and f.jitter == t
+    assert np.array_equal(f.inv_factor[1], tril_inv(L))
+    assert f.logdet[1] == 2.0 * np.log(np.diag(L)).sum()
+    alone = chol_logdet(S[1])
+    assert np.array_equal(alone.inv_factor, f.inv_factor[1]) and alone.jitter == t
+
+
+@pytest.mark.parametrize("pivot", [3, 40, 65])
+def test_chol_logdet_recursion_reports_the_failing_pivot(pivot):
+    S = np.stack([np.eye(66), np.eye(66)])
+    S[1, pivot, pivot] = -1.0
+    with pytest.raises(FactorizationError) as exc:
+        chol_logdet(S)
+    assert exc.value.pivot == pivot
+    with pytest.raises(FactorizationError) as exc:
+        chol_logdet(S[1])
+    assert exc.value.pivot == pivot
 
 
 def test_import_leaves_scipy_linalg_unloaded():

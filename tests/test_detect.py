@@ -161,6 +161,9 @@ def test_ml_rejects_empty_table():
 @example(seed=2, n=6, m=3, k=1, sigma2=0.1, rho=1e4, const="16qam", draw="means")
 @example(seed=3, n=6, m=4, k=2, sigma2=0.1, rho=3.0, const="qpsk", draw="duplicates")
 @example(seed=4, n=8, m=6, k=3, sigma2=0.01, rho=1e4, const="qpsk", draw="model")
+# 2M = 34 and 66 covariances, factored by the block recursion of chol_logdet
+@example(seed=5, n=8, m=17, k=2, sigma2=0.1, rho=3.0, const="16qam", draw="model")
+@example(seed=6, n=6, m=33, k=2, sigma2=0.05, rho=1e4, const="16qam", draw="means")
 def test_pruned_ml_equals_exhaustive(seed, n, m, k, sigma2, rho, const, draw):
     k = min(k, n, m)
     if const == "16qam":
@@ -210,6 +213,11 @@ def test_pruned_ml_equals_exhaustive(seed, n, m, k, sigma2, rho, const, draw):
 @example(seed=2, n=3, m=6, k=2, sigma2=0.05, rho=3.0, const="qpsk", draw="means",
          jitter=True)
 @example(seed=3, n=2, m=4, k=2, sigma2=0.5, rho=1e4, const="16qam", draw="random",
+         jitter=True)
+# M = 17 and 33 (2M = 34 and 66), past the order where chol_logdet recurses
+@example(seed=4, n=4, m=13, k=2, sigma2=0.1, rho=3.0, const="16qam", draw="model",
+         jitter=True)
+@example(seed=5, n=3, m=30, k=2, sigma2=0.05, rho=1e4, const="qpsk", draw="means",
          jitter=True)
 def test_bound_never_exceeds_the_exact_score(seed, n, m, k, sigma2, rho, const, draw,
                                              jitter):
@@ -403,6 +411,8 @@ def _close(got, want, rel=1e-12):
 @example(seed=7, n=6, m=3, k=2, sigma2=0.2, rho=5.0, const="16qam")
 @example(seed=8, n=8, m=6, k=3, sigma2=0.01, rho=1e4, const="qpsk")
 @example(seed=2, n=1, m=5, k=1, sigma2=1.0, rho=606.0, const="single")
+@example(seed=9, n=8, m=17, k=2, sigma2=0.1, rho=3.0, const="16qam")
+@example(seed=10, n=6, m=33, k=2, sigma2=0.01, rho=1e4, const="16qam")
 def test_quarter_table_matches_direct_full_build(seed, n, m, k, sigma2, rho, const):
     # every table position against symbol_kernel + assemble_stats + chol_logdet
     # over all L^K candidates, with no use of the quarter-turn symmetry
@@ -465,7 +475,7 @@ def test_quarter_table_decisions_match_direct_full_table(seed, n, m, k, sigma2, 
         Z = (rng.standard_normal((nv, m)) + 1j * rng.standard_normal((nv, m))) / np.sqrt(2)
         Y = np.sqrt(rho) * quantize_1bit(S @ W.T + D, eta) @ H.T + Z
     diff = stack_ri(Y)[None, :, :] - mu[:, None, :]            # (L^K, nv, 2M)
-    u = np.linalg.solve(fac.factor, diff.transpose(0, 2, 1))  # L^{-1} (y' - mu)
+    u = fac.inv_factor @ diff.transpose(0, 2, 1)               # L^{-1} (y' - mu)
     scores = (u ** 2).sum(axis=1) + fac.logdet[:, None]       # (L^K, nv)
     got, _ = ml_detect_batch(Y, table)
     assert np.array_equal(got, table.indices[np.argmin(scores, axis=0)])

@@ -166,8 +166,9 @@ def test_pool_opens_no_more_workers_than_channels(monkeypatch):
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             sizes.append(max_workers)
+            assert initializer is harness._one_blas_thread
 
         def __enter__(self):
             return self
@@ -187,6 +188,23 @@ def test_pool_opens_no_more_workers_than_channels(monkeypatch):
     assert [r.errors for r in capped.rows] == [r.errors for r in serial.rows]
     run_sweep(_tiny(n_channels=1, workers=8))  # one channel runs in-process
     assert sizes == [2]
+
+
+def test_sweep_workers_run_one_blas_thread():
+    # a pool started with run_sweep's initializer: its worker reads one BLAS
+    # thread through numpy's OpenBLAS getter, and this process keeps its own
+    from concurrent.futures import ProcessPoolExecutor
+
+    from onebitlink import harness
+
+    get = "scipy_openblas_get_num_threads64_"
+    here = harness._openblas(get)
+    with ProcessPoolExecutor(max_workers=1, initializer=harness._one_blas_thread) as pool:
+        worker = pool.submit(harness._openblas, get).result(timeout=60)
+    assert harness._openblas(get) == here
+    # a numpy built without these symbols keeps its threads as they are
+    assert worker == (None if here is None else 1)
+    assert harness._openblas("no_such_openblas_symbol_") is None
 
 
 def test_trials_accounting_per_stream():

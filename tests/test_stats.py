@@ -240,7 +240,7 @@ def test_kernel_cholesky_is_coherent():
     _, Sigma = assemble_stats(symbol_kernel(receive_basis(H), x, sigma2, eta), 3.0)
     fac = chol_logdet(Sigma)
     assert fac.jitter == 0.0
-    assert_allclose(fac.factor @ fac.factor.T, Sigma, atol=1e-10)
+    assert_allclose(fac.inv_factor @ Sigma @ fac.inv_factor.T, np.eye(len(Sigma)), atol=1e-10)
     sign, ld = np.linalg.slogdet(Sigma)
     assert sign == 1.0
     assert fac.logdet == pytest.approx(ld, rel=1e-10)
