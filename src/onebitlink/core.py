@@ -40,7 +40,7 @@ class FactorizationError(ArithmeticError):
 # one-bit quantizer
 # ---------------------------------------------------------------------------
 
-def _axis_magnitude(eta: float) -> float:
+def axis_magnitude(eta: float) -> float:
     """Per-axis output magnitude c ~ sqrt(eta/2), ulp-refined.
 
     c is chosen so that the per-entry squared modulus 2*fl(c*c) equals eta
@@ -71,6 +71,12 @@ def quantize_1bit(x: np.ndarray, eta: float) -> np.ndarray:
     and maps each entry to c*sgn(entry), so that
     quantize_1bit(stack_ri(x), eta) == stack_ri(quantize_1bit(x, eta)).
 
+    Each rail is computed as (x >= 0) * 2c - c in float64: 1 * 2c - c == c and
+    0 * 2c - c == -c exactly, so the output equals np.where(x >= 0, c, -c)
+    bit for bit (signed zeros map to +c, NaN to -c) with one compare and two
+    in-place passes. Complex input goes the same way as its interleaved real
+    view [Re, Im, Re, Im, ...], written into the complex output's view.
+
     Parameters
     ----------
     x : array_like of complex, or of real in stacked form
@@ -81,12 +87,21 @@ def quantize_1bit(x: np.ndarray, eta: float) -> np.ndarray:
     if not eta > 0:
         raise ParameterError(f"eta must be positive, got {eta}")
     x = np.asarray(x)
-    c = _axis_magnitude(eta)
+    c = axis_magnitude(eta)
     if not np.iscomplexobj(x):
-        return np.where(x >= 0, c, -c)
-    re = np.where(x.real >= 0, c, -c)
-    im = np.where(x.imag >= 0, c, -c)
-    return re + 1j * im
+        return _rail(x, c, np.empty(x.shape))
+    out = np.empty(x.shape, dtype=np.complex128)
+    _rail(np.ascontiguousarray(x).reshape(-1).view(x.real.dtype), c,
+          out.reshape(-1).view(np.float64))
+    return out
+
+
+def _rail(x: np.ndarray, c: float, out: np.ndarray) -> np.ndarray:
+    """out = c where x >= 0, else -c, written into the float64 array out."""
+    np.greater_equal(x, 0, out=out)
+    out *= 2.0 * c
+    out -= c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +127,8 @@ def chol_logdet(S: np.ndarray) -> CholFactor:
     to d = CHOL_LEAF the stack is factored by one np.linalg.cholesky call and
     inverted by `tril_inv`. Above it, one copy of S is overwritten with the
     inverse factors by the block recursion of `_inv_chol_into`, in batched
-    products over the stack, and its inverse factors have exact zeros above
-    the diagonal. If either route fails, the matrices are factored one at a
+    products over the stack; both routes give exact zeros above the
+    diagonal. If either route fails, the matrices are factored one at a
     time from S: each that factors as-is keeps its plain factor, and each
     indefinite one is retried with S + t*I, where t starts at
     1e-12*trace(S)/d and escalates by factors of 10 up to 1e-6*trace(S)/d;
@@ -164,8 +179,7 @@ def _inv_chol_into(A: np.ndarray) -> np.ndarray:
     """
     d = A.shape[-1]
     if d <= CHOL_LEAF:
-        inv, logdet = _inv_chol_leaf(np.linalg.cholesky(A))
-        A[...] = np.tril(inv)  # tril_inv's pivoted leaves can round above the diagonal
+        A[...], logdet = _inv_chol_leaf(np.linalg.cholesky(A))
         return logdet
     h = d // 2
     I11, S21, S22 = A[..., :h, :h], A[..., h:, :h], A[..., h:, h:]
@@ -206,11 +220,14 @@ def tril_inv(L: np.ndarray) -> np.ndarray:
     With L = [[A, 0], [C, B]] split at d/2, the inverse is
     [[A^-1, 0], [-B^-1 C A^-1, B^-1]], so the work is batched matrix
     products of the halves: about a quarter of the flops of a general
-    inverse, which solves against the identity as if L were full.
+    inverse, which solves against the identity as if L were full. Entries
+    above the diagonal are exact zeros.
     """
     d = L.shape[-1]
     if d <= 8:  # too small for the products to beat one LAPACK call
-        return np.linalg.inv(L)
+        # the LU solve pivots where a row's off-diagonal entries outweigh its
+        # diagonal one, which can leave rounding above the diagonal
+        return np.tril(np.linalg.inv(L))
     h = d // 2
     A_inv = tril_inv(L[..., :h, :h])
     B_inv = tril_inv(L[..., h:, h:])

@@ -18,6 +18,13 @@ The chain is drawn, quantized and accumulated in this form too: one
 (2, rows, n) standard-normal draw gives the same numbers, in the same stream
 order, as a Re-then-Im pair of complex draws, and complex matrices enter as
 embed(P).T right factors, so no complex array is formed per chunk.
+
+Each chunk is reduced to running sums (see `_feed`): column sums are one GEMV
+against a vector of ones, products are one GEMM, and the squares behind the
+standard errors are formed once per array. The quantizer output is never
+squared: every entry is +-c, so its square is the known constant c*c, and
+its sums are counts times that constant. None of this touches the random
+stream, so the draws are those of a plain per-element simulation.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, complex_normal, qam16, quantize_1bit, substream
+from .core import (ParameterError, axis_magnitude, complex_normal, qam16, quantize_1bit,
+                   substream)
 from .stats import (assemble_stats, conditional_moments, embed, lmmse_gain,
                     receive_basis, stack_ri, symbol_kernel)
 from .txchain import bussgang_gain, cov_xd, cov_xq_unconditional, cov_y_unconditional
@@ -76,16 +84,27 @@ def _reads(kinds, *names) -> bool:
     return any(not set(names).isdisjoint(_OPERANDS[k]) for k in kinds)
 
 
+def _colsum(X, rows):
+    """Column sums of a `rows`-row chunk as one GEMV; a known square X is a
+    scalar that every entry equals, so its column sums are rows * X."""
+    return rows * X if np.ndim(X) == 0 else np.ones(rows) @ X
+
+
 class _MeanAcc:
-    """Running column sums of a chunked array and of its squares."""
+    """Running column sums of a chunked array and of its squares.
+
+    The square X2 is an array like X, or the scalar every entry of X*X
+    equals (the quantizer output's c*c).
+    """
 
     def __init__(self):
         self.n, self.s, self.s2 = 0, 0.0, 0.0
 
     def add(self, X, X2):
-        self.n += X.shape[0]
-        self.s += X.sum(axis=0)
-        self.s2 += X2.sum(axis=0)
+        rows = X.shape[0]
+        self.n += rows
+        self.s += _colsum(X, rows)
+        self.s2 += _colsum(X2, rows)
 
     def estimate(self) -> OracleEstimate:
         mean = self.s / self.n
@@ -94,25 +113,36 @@ class _MeanAcc:
 
 
 class _OuterAcc(_MeanAcc):
-    """Running sums of A^T B and of (A*A)^T (B*B) over chunked row pairs."""
+    """Running sums of A^T B and of (A*A)^T (B*B) over chunked row pairs.
+
+    A known square B2 is a scalar: sum_r (a_r*a_r) B2 is then the column
+    sums of A2 times B2, with no GEMM (A2 a scalar too makes it rows*A2*B2).
+    Only the second operand's square may be known, as xq is never first.
+    """
 
     def add(self, A, B, A2, B2):
-        self.n += A.shape[0]
+        rows = A.shape[0]
+        self.n += rows
         self.s += A.T @ B
-        self.s2 += A2.T @ B2
+        if np.ndim(B2):
+            self.s2 += A2.T @ B2
+        else:
+            self.s2 += np.multiply.outer(_colsum(A2, rows), np.full(B.shape[1], B2))
 
 
 def _accumulators(kinds):
     return {k: (_MeanAcc() if len(_OPERANDS[k]) == 1 else _OuterAcc()) for k in kinds}
 
 
-def _feed(acc, arrays):
+def _feed(acc, arrays, known=None):
     """Add one chunk to each accumulator whose operands are all in `arrays`.
 
     Each array is squared once and the square is shared by every
-    accumulator that reads it; the squares are dropped on return.
+    accumulator that reads it; the squares are dropped on return. `known`
+    maps an array name to the scalar its square equals everywhere (the
+    quantizer output's c*c), which is passed in place of a squared array.
     """
-    squares = {}
+    squares = dict(known or {})
     for kind, a in acc.items():
         names = _OPERANDS[kind]
         if not arrays.keys() >= set(names):
@@ -147,6 +177,25 @@ def _normal_rows(rng, step, n, scale):
     return out.reshape(step, 2 * n)
 
 
+def _known_squares(eta):
+    """Squares known without squaring: every entry of xq is +-c, so xq*xq is c*c."""
+    c = axis_magnitude(eta)
+    return {"xq": c * c}
+
+
+def _residual(xq, xd, Ge):
+    """Stacked residual rows xq - xd G^T, built in the product's buffer."""
+    r = xd @ Ge
+    return np.subtract(xq, r, out=r)
+
+
+def _received(xq, He, rho, z):
+    """Stacked received rows sqrt(rho) xq H^T + z, with z added in place."""
+    y = (np.sqrt(rho) * xq) @ He
+    y += z
+    return y
+
+
 def _run_conditional(x, H, G, sigma2, eta, rho, draws, rng, kinds, chunk):
     x = stack_ri(np.asarray(x, dtype=np.complex128))
     n = x.size // 2
@@ -162,23 +211,28 @@ def _run_conditional(x, H, G, sigma2, eta, rho, draws, rng, kinds, chunk):
     Ge = None if G is None else embed(G).T
     He = None if H is None else embed(H).T
     Te = None if (H is None or G is None) else embed(np.asarray(H) @ np.asarray(G)).T
+    known = _known_squares(eta)
 
     acc = _accumulators(kinds)
     for step in _chunks(draws, chunk):
         d = _normal_rows(rng, step, n, sig / np.sqrt(2))
         xd = x + d
         xq = quantize_1bit(xd, eta)
-        _feed(acc, {"xd": xd, "xq": xq})
+        _feed(acc, {"xd": xd, "xq": xq}, known)
         if need_pd:
-            pd = xq - xd @ Ge
+            pd = _residual(xq, xd, Ge)
             del xd
             _feed(acc, {"d": d, "pd": pd})
         if need_rx:
             z = _normal_rows(rng, step, m, 1 / np.sqrt(2))
             if _reads(kinds, "noise"):
-                _feed(acc, {"noise": np.sqrt(rho) * (d @ Te + pd @ He) + z})
+                noise = d @ Te
+                noise += pd @ He
+                noise *= np.sqrt(rho)
+                noise += z
+                _feed(acc, {"noise": noise})
             if _reads(kinds, "y"):
-                _feed(acc, {"y": np.sqrt(rho) * xq @ He + z})
+                _feed(acc, {"y": _received(xq, He, rho, z)})
 
     return {k: a.estimate() for k, a in acc.items()}
 
@@ -196,6 +250,8 @@ def _run_gauss(W, H, sigma2, eta, rho, draws, rng, kinds, chunk):
     if _reads(kinds, "qd"):
         Be = embed(bussgang_gain(cov_xd(W, sigma2), eta)).T
 
+    known = _known_squares(eta)
+
     acc = _accumulators(kinds)
     for step in _chunks(draws, chunk):
         xd = _normal_rows(rng, step, k_streams, 1 / np.sqrt(2)) @ We
@@ -203,11 +259,11 @@ def _run_gauss(W, H, sigma2, eta, rho, draws, rng, kinds, chunk):
         xq = quantize_1bit(xd, eta)
         arrays = {"xd": xd, "xq": xq}
         if Be is not None:
-            arrays["qd"] = xq - xd @ Be
-        _feed(acc, arrays)
+            arrays["qd"] = _residual(xq, xd, Be)
+        _feed(acc, arrays, known)
         if _reads(kinds, "y"):
             z = _normal_rows(rng, step, m, 1 / np.sqrt(2))
-            _feed(acc, {"y": np.sqrt(rho) * xq @ He + z})
+            _feed(acc, {"y": _received(xq, He, rho, z)})
 
     return {k: a.estimate() for k, a in acc.items()}
 

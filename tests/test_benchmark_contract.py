@@ -11,6 +11,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from onebitlink import harness, oracle
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmark"
@@ -66,3 +68,20 @@ def test_dither_pieces_are_built_once_per_dither_power(monkeypatch):
         assert m["stats.kernels"][0] == per_power
         assert m["detect.tables"][0] == per_point
         assert m["txchain.quantize_ms.n"][0] == per_power
+
+
+def test_oracle_draws_count_each_pass_once(monkeypatch):
+    # oracle.draws sums the rows of the oracle.quantize spans: each of the two
+    # passes of a validation quantizes every draw once, in one (draws, 2N) call
+    # per chunk
+    rows = []
+    real = oracle.quantize_1bit
+
+    def counting(x, eta):
+        rows.append(np.asarray(x).shape[0])
+        return real(x, eta)
+
+    monkeypatch.setattr(oracle, "quantize_1bit", counting)
+    spec = oracle.InstanceSpec(n_tx=4, n_rx=2, n_streams=1, sigma2=0.1, rho=2.0, seed=0)
+    oracle.validate_instance(spec, draws=25_000)
+    assert rows == [25_000, 25_000]  # 2 x 25,000 rows

@@ -10,8 +10,9 @@ from numpy.testing import assert_allclose
 
 import onebitlink
 from onebitlink.core import (CHOL_LEAF, Constellation, FactorizationError, ParameterError,
-                             _chol_jittered, chol_logdet, complex_normal, make_constellation,
-                             qam16, qpsk, quantize_1bit, substream, svd_topk, tril_inv)
+                             _chol_jittered, axis_magnitude, chol_logdet, complex_normal,
+                             make_constellation, qam16, qpsk, quantize_1bit, substream,
+                             svd_topk, tril_inv)
 from onebitlink.stats import stack_ri
 
 # ---------------------------------------------------------------------------
@@ -89,6 +90,32 @@ def test_quantize_stacked_real_form_is_bit_identical():
         assert got.dtype == np.float64 and got.shape == (5, 12)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.all(quantize_1bit(stack_ri(x[0, :4]), 2.0) == 1.0)
+
+
+def _where_quantizer(x, eta):
+    # the plain form the quantizer's (x >= 0) * 2c - c must equal bit for bit
+    c = axis_magnitude(eta)
+    if np.iscomplexobj(x):
+        return np.where(x.real >= 0, c, -c) + 1j * np.where(x.imag >= 0, c, -c)
+    return np.where(x >= 0, c, -c)
+
+
+@pytest.mark.parametrize("eta", [1.0 / 6, 0.5, 2.0, 1.0 / 64, 3e-7, 1e6])
+def test_quantize_matches_the_where_form_bit_for_bit(eta):
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e30, -1e30]
+    rng = substream(3, 2)
+    re = np.concatenate([special, rng.standard_normal(14)]).reshape(4, 6)
+    im = rng.permutation(re.ravel()).reshape(4, 6)
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real, z.imag = re, im  # 1j * inf would put a NaN on the real rail
+    inputs = [re, re.astype(np.float32), re.T, np.arange(-6, 6).reshape(3, 4),
+              np.array(-0.0), z, z.astype(np.complex64), z.T, z[:, ::2],
+              np.array(complex(-0.0, np.nan))]
+    for x in inputs:
+        got, want = quantize_1bit(x, eta), _where_quantizer(x, eta)
+        assert got.dtype == want.dtype and got.shape == want.shape, x.dtype
+        bits = [np.ascontiguousarray(a).view(np.uint64) for a in (got, want)]
+        assert np.array_equal(*bits), x.dtype
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +220,20 @@ def test_tril_inv_inverts_a_stack_of_factors(d):
     assert Li.shape == L.shape
     assert_allclose(Li @ L, np.broadcast_to(np.eye(d), L.shape), atol=1e-13)
     assert_allclose(Li, np.linalg.inv(L), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [3, 8, 9, 12])
+def test_tril_inv_has_exact_zeros_above_the_diagonal(d):
+    # entries below the diagonal outweigh the diagonal ones, so the LU solves
+    # of the leaves pivot; their rounding above the diagonal must not survive
+    rng = substream(6, 7, d)
+    L = np.tril(2.0 * rng.standard_normal((16, d, d)), -1)
+    i = np.arange(d)
+    L[:, i, i] = rng.uniform(0.5, 1.0, (16, d))
+    assert np.any(np.abs(L) > L[:, i, i][:, :, None])
+    Li = tril_inv(L)
+    assert np.all(np.triu(Li, 1) == 0.0)
+    assert_allclose(Li @ L, np.broadcast_to(np.eye(d), L.shape), rtol=0, atol=1e-10)
 
 
 def _spd_stack(d, key):

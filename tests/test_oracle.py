@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from onebitlink import oracle
 from onebitlink.core import ParameterError, chol_logdet, qam16, quantize_1bit, substream
 from onebitlink.oracle import (MIN_DRAWS, SATURATION_ALLOWANCE, InstanceSpec,
                                closed_form_moments, default_instances,
@@ -136,6 +137,49 @@ def test_mc_moment_keeps_the_complex_draw_stream():
         ref = _complex_chain_moment(kind, x, H, G, W, sigma2, eta, 2.0, 10 ** 4, 4000,
                                     substream(8, 1))
         assert_allclose(est.value, ref, rtol=1e-12, atol=0, err_msg=kind)
+
+
+def test_known_square_sums_equal_explicit_squares(monkeypatch):
+    # the quantizer output is never squared: its square sums are counts times
+    # c*c. Rebuild each estimate from explicit squares of the arrays the pass
+    # quantized, over two full chunks and a ragged last one
+    seen = []
+
+    def recording(x, eta):
+        xq = quantize_1bit(x, eta)
+        seen.append((x.copy(), xq.copy()))
+        return xq
+
+    monkeypatch.setattr(oracle, "quantize_1bit", recording)
+    rng = substream(9, 0)
+    n, k = 3, 2
+    W = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
+    x = W @ qam16().points[[2, 13]]
+    sigma2, eta, draws, chunk = 0.3, 1.0 / n, 25_000, 10_000
+    operands = {"mean_xq": ("xq",), "cross_xd_xq": ("xd", "xq"), "cov_xq": ("xq", "xq"),
+                "cross_xd_xq_gauss": ("xd", "xq"), "cov_xq_gauss": ("xq", "xq")}
+    for kind, names in operands.items():
+        seen.clear()
+        est = mc_moment(kind, sigma2, eta, x=x, W=W, draws=draws, chunk=chunk,
+                        rng=substream(9, 1))
+        assert [xd.shape[0] for xd, _ in seen] == [10_000, 10_000, 5_000], kind
+        s = s2 = 0.0
+        for xd, xq in seen:
+            a = {"xd": xd, "xq": xq}
+            A, B = a[names[0]], a[names[-1]]
+            if len(names) == 1:
+                s, s2 = s + A.sum(axis=0), s2 + (A * A).sum(axis=0)
+            else:
+                s, s2 = s + A.T @ B, s2 + (A * A).T @ (B * B)
+        mean, msq = s / draws, s2 / draws
+        var = msq - mean ** 2
+        assert_allclose(est.value, mean, rtol=1e-12, atol=1e-15, err_msg=kind)
+        # the variance behind the stderr is E[a^2 b^2] - mean^2: the sums'
+        # rounding is relative to those two terms, which cancel where the
+        # variance is small (the constant diagonal of cov_xq)
+        got_var = est.stderr ** 2 * draws
+        tol = 1e-12 * (msq + mean ** 2)
+        assert np.all(np.abs(got_var - np.maximum(var, 0.0)) <= tol), kind
 
 
 def test_gaussian_loglike_trivial_cases():
