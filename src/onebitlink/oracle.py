@@ -19,7 +19,14 @@ The chain is drawn, quantized and accumulated in this form too: one
 order, as a Re-then-Im pair of complex draws, and complex matrices enter as
 embed(P).T right factors, so no complex array is formed per chunk.
 
-Each chunk is reduced to running sums (see `_feed`): column sums are one GEMV
+A pass draws per chunk, then builds and accumulates per slice. Each chunk of
+up to CHUNK rows is drawn at once, one (2, rows, n) array per random source,
+in a fixed order. The chain is then built from it SLICE_ROWS rows at a time:
+a slice scales its own rows out of the raw draw, so every array derived from
+the draw is slice-sized and stays in cache, and only the raw draws are
+chunk-sized. Slicing never touches the random stream.
+
+Each slice is reduced to running sums (see `_feed`): column sums are one GEMV
 against a vector of ones, products are one GEMM, and the squares behind the
 standard errors are formed once per array. The quantizer output is never
 squared: every entry is +-c, so its square is the known constant c*c, and
@@ -40,7 +47,8 @@ from .stats import (assemble_stats, conditional_moments, embed, lmmse_gain,
 from .txchain import bussgang_gain, cov_xd, cov_xq_unconditional, cov_y_unconditional
 
 MIN_DRAWS = 10 ** 4
-CHUNK = 200_000  # rows per chunk of a simulation pass; the chunk bounds its memory
+CHUNK = 200_000  # rows drawn at once by a simulation pass; the chunk bounds its memory
+SLICE_ROWS = 4096  # rows built and accumulated at once; a slice's arrays stay in cache
 SE_MULT = 4.0  # validate_instance's gate, in standard errors (see its docstring)
 ATOL = 1e-12
 SELF_CHECK_DRAWS = 50_000
@@ -165,16 +173,23 @@ def _chunks(draws, chunk):
         yield step
 
 
-def _normal_rows(rng, step, n, scale):
-    """`step` stacked rows [Re, Im] of scaled complex normal draws.
+def _slices(step):
+    """Consecutive row slices of a `step`-row chunk, SLICE_ROWS rows or fewer each."""
+    for start in range(0, step, SLICE_ROWS):
+        yield slice(start, min(start + SLICE_ROWS, step))
+
+
+def _rows(raw, rows, scale):
+    """Scaled stacked rows [Re, Im] of one slice of a (2, step, n) normal draw.
 
     One (2, step, n) draw holds the same numbers, in the same stream order,
     as a Re-then-Im pair of (step, n) draws; the halves of each row are
     written side by side.
     """
-    out = np.empty((step, 2, n))
-    np.multiply(rng.standard_normal((2, step, n)).transpose(1, 0, 2), scale, out=out)
-    return out.reshape(step, 2 * n)
+    part = raw[:, rows]
+    out = np.empty((part.shape[1], 2, part.shape[2]))
+    np.multiply(part.transpose(1, 0, 2), scale, out=out)
+    return out.reshape(out.shape[0], -1)
 
 
 def _known_squares(eta):
@@ -215,24 +230,26 @@ def _run_conditional(x, H, G, sigma2, eta, rho, draws, rng, kinds, chunk):
 
     acc = _accumulators(kinds)
     for step in _chunks(draws, chunk):
-        d = _normal_rows(rng, step, n, sig / np.sqrt(2))
-        xd = x + d
-        xq = quantize_1bit(xd, eta)
-        _feed(acc, {"xd": xd, "xq": xq}, known)
-        if need_pd:
-            pd = _residual(xq, xd, Ge)
-            del xd
-            _feed(acc, {"d": d, "pd": pd})
-        if need_rx:
-            z = _normal_rows(rng, step, m, 1 / np.sqrt(2))
-            if _reads(kinds, "noise"):
-                noise = d @ Te
-                noise += pd @ He
-                noise *= np.sqrt(rho)
-                noise += z
-                _feed(acc, {"noise": noise})
-            if _reads(kinds, "y"):
-                _feed(acc, {"y": _received(xq, He, rho, z)})
+        d_raw = rng.standard_normal((2, step, n))
+        z_raw = rng.standard_normal((2, step, m)) if need_rx else None
+        for rows in _slices(step):
+            d = _rows(d_raw, rows, sig / np.sqrt(2))
+            xd = x + d
+            xq = quantize_1bit(xd, eta)
+            _feed(acc, {"xd": xd, "xq": xq}, known)
+            if need_pd:
+                pd = _residual(xq, xd, Ge)
+                _feed(acc, {"d": d, "pd": pd})
+            if need_rx:
+                z = _rows(z_raw, rows, 1 / np.sqrt(2))
+                if _reads(kinds, "noise"):
+                    noise = d @ Te
+                    noise += pd @ He
+                    noise *= np.sqrt(rho)
+                    noise += z
+                    _feed(acc, {"noise": noise})
+                if _reads(kinds, "y"):
+                    _feed(acc, {"y": _received(xq, He, rho, z)})
 
     return {k: a.estimate() for k, a in acc.items()}
 
@@ -241,7 +258,8 @@ def _run_gauss(W, H, sigma2, eta, rho, draws, rng, kinds, chunk):
     W = np.asarray(W)
     n, k_streams = W.shape
     m = None if H is None else np.asarray(H).shape[0]
-    if _reads(kinds, "y") and H is None:
+    need_y = _reads(kinds, "y")
+    if need_y and H is None:
         raise ParameterError("cov_y_gauss needs the channel matrix H")
     sig = np.sqrt(sigma2)
     We = embed(W).T
@@ -254,16 +272,20 @@ def _run_gauss(W, H, sigma2, eta, rho, draws, rng, kinds, chunk):
 
     acc = _accumulators(kinds)
     for step in _chunks(draws, chunk):
-        xd = _normal_rows(rng, step, k_streams, 1 / np.sqrt(2)) @ We
-        xd += _normal_rows(rng, step, n, sig / np.sqrt(2))
-        xq = quantize_1bit(xd, eta)
-        arrays = {"xd": xd, "xq": xq}
-        if Be is not None:
-            arrays["qd"] = _residual(xq, xd, Be)
-        _feed(acc, arrays, known)
-        if _reads(kinds, "y"):
-            z = _normal_rows(rng, step, m, 1 / np.sqrt(2))
-            _feed(acc, {"y": _received(xq, He, rho, z)})
+        s_raw = rng.standard_normal((2, step, k_streams))
+        d_raw = rng.standard_normal((2, step, n))
+        z_raw = rng.standard_normal((2, step, m)) if need_y else None
+        for rows in _slices(step):
+            xd = _rows(s_raw, rows, 1 / np.sqrt(2)) @ We
+            xd += _rows(d_raw, rows, sig / np.sqrt(2))
+            xq = quantize_1bit(xd, eta)
+            arrays = {"xd": xd, "xq": xq}
+            if Be is not None:
+                arrays["qd"] = _residual(xq, xd, Be)
+            _feed(acc, arrays, known)
+            if need_y:
+                z = _rows(z_raw, rows, 1 / np.sqrt(2))
+                _feed(acc, {"y": _received(xq, He, rho, z)})
 
     return {k: a.estimate() for k, a in acc.items()}
 

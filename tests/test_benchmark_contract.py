@@ -72,8 +72,8 @@ def test_dither_pieces_are_built_once_per_dither_power(monkeypatch):
 
 def test_oracle_draws_count_each_pass_once(monkeypatch):
     # oracle.draws sums the rows of the oracle.quantize spans: each of the two
-    # passes of a validation quantizes every draw once, in one (draws, 2N) call
-    # per chunk
+    # passes of a validation quantizes every draw once, in order, in one
+    # (rows, 2N) call per slice of at most SLICE_ROWS rows
     rows = []
     real = oracle.quantize_1bit
 
@@ -84,4 +84,8 @@ def test_oracle_draws_count_each_pass_once(monkeypatch):
     monkeypatch.setattr(oracle, "quantize_1bit", counting)
     spec = oracle.InstanceSpec(n_tx=4, n_rx=2, n_streams=1, sigma2=0.1, rho=2.0, seed=0)
     oracle.validate_instance(spec, draws=25_000)
-    assert rows == [25_000, 25_000]  # 2 x 25,000 rows
+    size = oracle.SLICE_ROWS
+    one_pass = [min(size, 25_000 - start) for start in range(0, 25_000, size)]
+    assert one_pass == [4096] * 6 + [424]
+    assert rows == 2 * one_pass
+    assert sum(rows) == 2 * 25_000

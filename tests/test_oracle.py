@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -139,6 +141,12 @@ def test_mc_moment_keeps_the_complex_draw_stream():
         assert_allclose(est.value, ref, rtol=1e-12, atol=0, err_msg=kind)
 
 
+def _slice_rows(steps):
+    """Rows of each slice a pass builds, in order, for chunks of `steps` rows."""
+    size = oracle.SLICE_ROWS
+    return [min(size, step - start) for step in steps for start in range(0, step, size)]
+
+
 def test_known_square_sums_equal_explicit_squares(monkeypatch):
     # the quantizer output is never squared: its square sums are counts times
     # c*c. Rebuild each estimate from explicit squares of the arrays the pass
@@ -162,7 +170,8 @@ def test_known_square_sums_equal_explicit_squares(monkeypatch):
         seen.clear()
         est = mc_moment(kind, sigma2, eta, x=x, W=W, draws=draws, chunk=chunk,
                         rng=substream(9, 1))
-        assert [xd.shape[0] for xd, _ in seen] == [10_000, 10_000, 5_000], kind
+        # chunks of 10,000, 10,000 and 5,000 rows, each quantized slice by slice
+        assert [xd.shape[0] for xd, _ in seen] == _slice_rows([10_000, 10_000, 5_000]), kind
         s = s2 = 0.0
         for xd, xq in seen:
             a = {"xd": xd, "xq": xq}
@@ -180,6 +189,68 @@ def test_known_square_sums_equal_explicit_squares(monkeypatch):
         got_var = est.stderr ** 2 * draws
         tol = 1e-12 * (msq + mean ** 2)
         assert np.all(np.abs(got_var - np.maximum(var, 0.0)) <= tol), kind
+
+
+def test_slices_keep_the_stream_and_the_estimates(monkeypatch):
+    # a pass draws each chunk whole, as (2, step, n) arrays in the order d, z
+    # (conditional) and s, d, z (Gaussian symbols), and slices only what it
+    # builds from them: the generator ends where direct draws leave it, and
+    # one slice per chunk gives the same estimates up to summation order
+    rng = substream(10, 0)
+    n, m, k = 3, 2, 2
+    W = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
+    H = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
+    x = W @ qam16().points[[5, 12]]
+    sigma2, eta, rho, draws, chunk = 0.3, 1.0 / n, 2.0, 25_000, 10_000
+    G = lmmse_gain(x, sigma2, eta)
+    steps = [10_000, 10_000, 5_000]
+    assert len(set(_slice_rows(steps))) > 2  # ragged slices within each chunk
+
+    def passes():
+        rng, twin = substream(10, 1), substream(10, 1)
+        cond = oracle._run_conditional(x, H, G, sigma2, eta, rho, draws, rng,
+                                       oracle._CONDITIONAL_KINDS, chunk)
+        for step in steps:
+            twin.standard_normal((2, step, n))
+            twin.standard_normal((2, step, m))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        gauss = oracle._run_gauss(W, H, sigma2, eta, rho, draws, rng,
+                                  oracle._GAUSS_KINDS, chunk)
+        for step in steps:
+            for width in (k, n, m):
+                twin.standard_normal((2, step, width))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        return {**cond, **gauss}
+
+    sliced = passes()
+    monkeypatch.setattr(oracle, "SLICE_ROWS", chunk)
+    whole = passes()
+    assert set(sliced) == oracle._CONDITIONAL_KINDS | oracle._GAUSS_KINDS
+    for kind, est in sliced.items():
+        ref = whole[kind]
+        assert est.draws == ref.draws == draws, kind
+        assert_allclose(est.value, ref.value, rtol=1e-12, atol=0, err_msg=kind)
+        # the variance behind the stderr, E[a^2 b^2] - mean^2, cancels where it
+        # is small (the constant diagonal of cov_xq), so its rounding is
+        # relative to the two terms, as in the explicit-squares test above
+        var, ref_var = est.stderr ** 2 * draws, ref.stderr ** 2 * draws
+        tol = 1e-12 * (ref_var + 2 * ref.value ** 2)
+        assert np.all(np.abs(var - ref_var) <= tol), kind
+
+
+def test_validation_memory_is_the_raw_draws_of_one_chunk():
+    # only the raw draws are chunk-sized: the Gaussian-symbol pass of a
+    # full chunk holds its s, d and z draws, 2 * CHUNK * (K + N + M) doubles,
+    # and every array built from them is slice-sized
+    spec = default_instances()[-1]
+    raw = 2 * oracle.CHUNK * (spec.n_streams + spec.n_tx + spec.n_rx) * 8
+    tracemalloc.start()
+    try:
+        validate_instance(spec, draws=oracle.CHUNK)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < raw + 8 * 2 ** 20, (peak / 2 ** 20, raw / 2 ** 20)
 
 
 def test_gaussian_loglike_trivial_cases():
