@@ -23,6 +23,7 @@ flip. An alphabet that is not closed gets orbits of one candidate each.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -151,10 +152,28 @@ def build_candidate_kernels(basis: ReceiveBasis, W, constellation: Constellation
     table positions follow the candidate order of `enumerate_candidates`.
     """
     W = np.asarray(W)
-    digits, symbols = enumerate_candidates(constellation, W.shape[1])
-    representatives, orbit, turns = _orbits(constellation, digits)
-    kernel = symbol_kernel(basis, symbols[representatives] @ W.T, sigma2, eta)
+    digits, orbit, turns, rep_symbols = _candidate_orbits(constellation.points.tobytes(),
+                                                          W.shape[1])
+    kernel = symbol_kernel(basis, rep_symbols @ W.T, sigma2, eta)
     return CandidateKernels(basis, digits, orbit, turns, kernel)
+
+
+@lru_cache(maxsize=4)
+def _candidate_orbits(points: bytes, n_streams: int):
+    """(digits, orbit, turns, representatives' symbols) of the alphabet with these points.
+
+    The candidates of `enumerate_candidates` and their `_orbits` depend on
+    the alphabet and the stream count alone, so they are built once for each
+    and shared, read-only, by every kernel build: a sweep builds kernels once
+    per channel and dither power.
+    """
+    constellation = Constellation(np.frombuffer(points, dtype=np.complex128))
+    digits, symbols = enumerate_candidates(constellation, n_streams)
+    representatives, orbit, turns = _orbits(constellation, digits)
+    out = digits, orbit, turns, symbols[representatives]
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def build_candidate_table(kernels: CandidateKernels, rho: float) -> CandidateTable:

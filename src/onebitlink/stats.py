@@ -3,11 +3,11 @@
 For a fixed precoded vector x, the dithered input to the one-bit quantizer is
 Gaussian with mean x, so every first and second moment of the quantizer output
 (and of the residual left after the best linear approximation around x) has a
-closed form in the Gauss error function. `conditional_moments` derives them
-all term by term, as the reference the oracle and the tests check against;
-`symbol_kernel` and `assemble_stats` build the mean and covariance of the
-stacked real received vector that the exact-statistics detector consumes,
-from the per-channel `receive_basis`.
+closed form in the Gauss error function, `core.erf`. `conditional_moments`
+derives them all term by term, as the reference the oracle and the tests
+check against; `symbol_kernel` and `assemble_stats` build the mean and
+covariance of the stacked real received vector that the exact-statistics
+detector consumes, from the per-channel `receive_basis`.
 
 Stacked-real convention: real parts first. A complex length-n vector v maps
 to the real length-2n vector stack_ri(v) = [Re v; Im v] (a batch of vectors
@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
-from .core import ParameterError, SingularityError
+from .core import ParameterError, SingularityError, erf
 
 
 def stack_ri(v) -> np.ndarray:
@@ -48,7 +47,7 @@ def _check_sigma(sigma2: float):
 
 
 def _phi(x: np.ndarray, sigma2: float) -> np.ndarray:
-    """erf(stack_ri(x) / sigma): the stacked sign means of the quantizer, unscaled."""
+    """core.erf(stack_ri(x) / sigma): the stacked sign means of the quantizer, unscaled."""
     return erf(stack_ri(x) / np.sqrt(sigma2))
 
 

@@ -78,6 +78,26 @@ def test_enumerate_refuses_oversized_table():
         enumerate_candidates(qam16(), 5)
 
 
+def test_kernel_builds_share_one_read_only_enumeration(monkeypatch):
+    # the candidates and their orbits depend on the alphabet and K alone, so
+    # builds at other dither powers reuse them, read-only
+    calls = []
+    monkeypatch.setattr(detect, "enumerate_candidates",
+                        lambda *a: calls.append(a) or enumerate_candidates(*a))
+    detect._candidate_orbits.cache_clear()
+    H, W, _ = _system(3, n=6, m=2, k=2)
+    basis = receive_basis(H)
+    first = build_candidate_kernels(basis, W, qam16(), 0.05, 1.0 / 6)
+    again = build_candidate_kernels(basis, W, make_constellation("16qam"), 0.5, 1.0 / 6)
+    assert len(calls) == 1
+    for name in ("indices", "orbit", "turns"):
+        assert getattr(again, name) is getattr(first, name)
+        assert not getattr(first, name).flags.writeable
+    assert not np.array_equal(first.kernel.inner, again.kernel.inner)
+    other = build_candidate_kernels(basis, W, qpsk(), 0.05, 1.0 / 6)
+    assert len(calls) == 2 and other.indices.shape == (16, 2)
+
+
 def test_ml_matches_dense_inverse_oracle():
     H, W, rng = _system(1, n=6, m=2, k=1)
     sigma2, eta, rho = 0.05, 1.0 / 6, 3.0
