@@ -23,12 +23,16 @@ class SingularityError(ArithmeticError):
 
 
 class FactorizationError(ArithmeticError):
-    """Cholesky failed even after the maximum jitter escalation.
+    """A matrix to be factored by Cholesky is not positive definite.
+
+    No jitter is added and no retry is made: a failed factorization raises.
 
     Attributes
     ----------
     pivot : int
-        Zero-based index of the first non-positive-definite leading minor.
+        Zero-based index of the first leading minor found not positive
+        definite: in the block recursion, within the Schur complement of the
+        leaf that failed, offset to the whole matrix.
     """
 
     def __init__(self, message, pivot: int):
@@ -179,64 +183,54 @@ def _horner2(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
 # factorizations
 # ---------------------------------------------------------------------------
 
-# Order up to which `chol_logdet` factors a stack by one LAPACK call and
-# inverts it with `tril_inv`; larger blocks go through the block recursion of
-# `_inv_chol_into`. Below it, the recursion's batched products lose to LAPACK.
+# Leaf order of the block recursion `_inv_chol_into`: blocks of this order or
+# less are factored by one LAPACK call and inverted by `tril_inv`, since below
+# it the recursion's batched products lose to LAPACK.
 CHOL_LEAF = 32
 
 
 class CholFactor(NamedTuple):
-    inv_factor: np.ndarray  # (..., d, d) L^{-1}, L lower triangular with S + jitter*I = L L^T
+    """Inverse lower Cholesky factors and log-determinants from `chol_logdet`.
+
+    `jitter` is always 0.0: a failed factorization raises instead of being
+    retried with jitter. The property stays only because the benchmark's
+    tracer reads it for its core.chol_jitter_events count; it goes when the
+    tracer stops reading it (ROADMAP item 1).
+    """
+
+    inv_factor: np.ndarray  # (..., d, d) L^{-1}, L lower triangular with S = L L^T
     logdet: np.ndarray      # (...,) log-determinants; a float for one matrix
-    jitter: float           # largest jitter added to any matrix, 0.0 when none was
+
+    @property
+    def jitter(self) -> float:
+        return 0.0
 
 
 def chol_logdet(S: np.ndarray) -> CholFactor:
     """Inverse lower Cholesky factors and log-determinants of symmetric PD matrices.
 
-    S is one (d, d) matrix or a (..., d, d) stack; it is never modified. Up
-    to d = CHOL_LEAF the stack is factored by one np.linalg.cholesky call and
-    inverted by `tril_inv`. Above it, one copy of S is overwritten with the
-    inverse factors by the block recursion of `_inv_chol_into`, in batched
-    products over the stack; both routes give exact zeros above the
-    diagonal. If either route fails, the matrices are factored one at a
-    time from S: each that factors as-is keeps its plain factor, and each
-    indefinite one is retried with S + t*I, where t starts at
-    1e-12*trace(S)/d and escalates by factors of 10 up to 1e-6*trace(S)/d;
-    the factors are then inverted by `tril_inv`. Raises ParameterError
-    naming the first matrix with a NaN or Inf entry before factoring
-    anything (the factorization does not flag a NaN pivot), and
-    FactorizationError carrying the failing pivot index if a matrix is still
-    not positive definite at maximum jitter.
+    S is one (d, d) matrix or a (..., d, d) stack; it is never modified. One
+    copy of S is overwritten with the inverse factors by the block recursion
+    of `_inv_chol_into`, in batched products over the stack, with exact zeros
+    above the diagonal; up to d = CHOL_LEAF that is one np.linalg.cholesky
+    call and `tril_inv`. Raises ParameterError naming the first matrix with a
+    NaN or Inf entry before factoring anything (the factorization does not
+    flag a NaN pivot), and FactorizationError naming the first matrix and
+    pivot where the factorization fails.
     """
     S = np.asarray(S, dtype=np.float64)
     if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
         raise ParameterError(f"expected a square matrix or a stack of them, got shape {S.shape}")
     bad = ~np.isfinite(S).all(axis=(-2, -1))
     if bad.any():
-        where = "" if S.ndim == 2 else f" at index {tuple(int(i) for i in np.argwhere(bad)[0])}"
-        raise ParameterError(f"matrix{where} has non-finite entries (NaN or Inf)")
-    try:
-        if S.shape[-1] <= CHOL_LEAF:
-            inv, logdet = _inv_chol_leaf(np.linalg.cholesky(S))
-        else:
-            inv = S.copy()
-            logdet = _inv_chol_into(inv)
-        jitter = 0.0
-    except np.linalg.LinAlgError:
-        L = np.empty_like(S)
-        flat = L.reshape(-1, *S.shape[-2:])
-        jitter = max(_chol_jittered(Si, out) for Si, out in zip(S.reshape(flat.shape), flat))
-        inv, logdet = _inv_chol_leaf(L)
-    return CholFactor(inv, float(logdet) if S.ndim == 2 else logdet, jitter)
+        raise ParameterError(f"matrix{_at(S, np.argwhere(bad)[0])} has non-finite entries "
+                             "(NaN or Inf)")
+    inv = S.copy()
+    logdet = _inv_chol_into(inv)
+    return CholFactor(inv, float(logdet) if S.ndim == 2 else logdet)
 
 
-def _inv_chol_leaf(L: np.ndarray):
-    """(L^{-1}, log-determinant of L L^T) of a stack of lower Cholesky factors."""
-    return tril_inv(L), 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
-
-
-def _inv_chol_into(A: np.ndarray) -> np.ndarray:
+def _inv_chol_into(A: np.ndarray, offset: int = 0) -> np.ndarray:
     """Overwrite a stack of SPD matrices with their inverse lower Cholesky factors.
 
     With A = [[S11, S21^T], [S21, S22]] split at d/2 and I11 = L11^{-1}, the
@@ -244,45 +238,52 @@ def _inv_chol_into(A: np.ndarray) -> np.ndarray:
     the inverse's lower block is -I22 L21 I11. Each block is overwritten in
     turn (S11 by I11, S22 by its Schur complement and then by I22, S21 by
     -I22 L21 I11) and the upper block is zeroed, so the only buffers are the
-    products' own. Blocks of order CHOL_LEAF or less are factored by LAPACK.
-    Returns the log-determinants; raises np.linalg.LinAlgError where a leaf
-    is not positive definite, with A then partly overwritten.
+    products' own. Blocks of order CHOL_LEAF or less are factored by LAPACK
+    and inverted by `tril_inv`. A holds pivots offset.. of the matrices being
+    factored. Returns the log-determinants; raises FactorizationError at the
+    first leaf that is not positive definite, with A then partly overwritten.
     """
     d = A.shape[-1]
     if d <= CHOL_LEAF:
-        A[...], logdet = _inv_chol_leaf(np.linalg.cholesky(A))
-        return logdet
+        try:
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            raise _factorization_error(A, offset) from None
+        A[...] = tril_inv(L)
+        return 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
     h = d // 2
     I11, S21, S22 = A[..., :h, :h], A[..., h:, :h], A[..., h:, h:]
-    logdet = _inv_chol_into(I11)
+    logdet = _inv_chol_into(I11, offset)
     L21 = S21 @ np.swapaxes(I11, -1, -2)
     S22 -= L21 @ np.swapaxes(L21, -1, -2)
-    logdet += _inv_chol_into(S22)
+    logdet += _inv_chol_into(S22, offset + h)
     S21[...] = -(S22 @ L21) @ I11
     A[..., :h, h:] = 0.0
     return logdet
 
 
-def _chol_jittered(S: np.ndarray, out: np.ndarray) -> float:
-    """Factor one matrix into out with the smallest jitter that works; returns it."""
-    dim = S.shape[0]
-    base = float(np.trace(S)) / dim
-    for t in [0.0] + [base * 10.0 ** k for k in range(-12, -5)]:
-        St = S if t == 0.0 else S + t * np.eye(dim)
-        try:
-            out[...] = np.linalg.cholesky(St)
-            return t
-        except np.linalg.LinAlgError:
-            pass
-    # first leading minor that is not positive definite at maximum jitter
-    for pivot in range(dim):
-        try:
-            np.linalg.cholesky(St[:pivot + 1, :pivot + 1])
-        except np.linalg.LinAlgError:
-            break
-    raise FactorizationError(
-        f"matrix not positive definite at pivot {pivot} even with jitter", pivot=pivot
-    )
+def _factorization_error(A: np.ndarray, offset: int) -> FactorizationError:
+    """The first matrix of a failed leaf stack and its first failing leading minor."""
+    d = A.shape[-1]
+    flat = A.reshape(-1, d, d)
+    i = next(i for i, Ai in enumerate(flat) if not _is_pd(Ai))
+    pivot = offset + next(k for k in range(d) if not _is_pd(flat[i, :k + 1, :k + 1]))
+    return FactorizationError(f"matrix{_at(A, np.unravel_index(i, A.shape[:-2]))} "
+                              f"not positive definite at pivot {pivot}", pivot=pivot)
+
+
+def _is_pd(S: np.ndarray) -> bool:
+    """Whether LAPACK's Cholesky factors the matrix S."""
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _at(S: np.ndarray, index) -> str:
+    """' at index (i, ...)' naming a matrix of the stack S, '' for one matrix."""
+    return "" if S.ndim == 2 else f" at index {tuple(int(i) for i in index)}"
 
 
 def tril_inv(L: np.ndarray) -> np.ndarray:

@@ -55,16 +55,16 @@ class CandidateTable:
 
     The statistics are kept once per orbit, for its representative s_r: mean
     mu_r = mu[orbit], log-determinant logdet[orbit] and inverse Cholesky
-    factor L^{-1} = inv_chol[orbit] (Sigma_r = L L^T, lower triangular up to
-    rounding). Position i holds s = j^turns s_r, with mean Q^turns mu_r, the
-    same log-determinant, and quadratic form ||L^{-1} (Q^{-turns} y' - mu_r)||^2.
+    factor L^{-1} = inv_chol[orbit] (Sigma_r = L L^T, with exact zeros above
+    the diagonal). Position i holds s = j^turns s_r, with mean Q^turns mu_r,
+    the same log-determinant, and quadratic form
+    ||L^{-1} (Q^{-turns} y' - mu_r)||^2.
 
     The pruning bound reads the channel's eigenbasis eigvecs = V of
     embed(H H^H) = V diag(lam) V^T and, per orbit, the weights
-    w = 1/(1/2 + t + rho dmax lam), where dmax is the representative's
-    largest quantizer-output variance and t the jitter its factorization
-    needed: Sigma + t I <= V diag(1/w) V^T for every member of the orbit (the
-    quarter turn Q commutes with embed(H H^H)).
+    w = 1/(1/2 + rho dmax lam), where dmax is the representative's largest
+    quantizer-output variance: Sigma <= V diag(1/w) V^T for every member of
+    the orbit (the quarter turn Q commutes with embed(H H^H)).
     """
 
     indices: np.ndarray   # (L^K, K) per-stream constellation indices
@@ -74,7 +74,7 @@ class CandidateTable:
     inv_chol: np.ndarray  # (orbits, 2M, 2M) inverse lower Cholesky factors L^{-1}
     logdet: np.ndarray    # (orbits,)
     eigvecs: np.ndarray   # (2M, 2M) eigenvectors V of embed(H H^H), one per column
-    weight: np.ndarray    # (orbits, 2M) eigenbasis bound weights 1/(1/2 + t + rho dmax lam)
+    weight: np.ndarray    # (orbits, 2M) eigenbasis bound weights 1/(1/2 + rho dmax lam)
 
     @property
     def n_candidates(self) -> int:
@@ -182,20 +182,19 @@ def build_candidate_table(kernels: CandidateKernels, rho: float) -> CandidateTab
     The representatives' covariance stack is factored block by block, one
     `chol_logdet` call per block, and each inverse Cholesky factor overwrites
     its covariance in the stack. Means, log-determinants and bound weights
-    stay per orbit, the weights with the jitter t of the representative's
-    block.
+    stay per orbit. A covariance that is not positive definite raises
+    FactorizationError.
     """
     mu, inv_chol = assemble_stats(kernels.kernel, rho)
     n_rep, dim = inv_chol.shape[0], inv_chol.shape[-1]
     logdet = np.empty(n_rep)
-    jitter = np.empty(n_rep)
     step = max(1, BLOCK_ENTRIES // (dim * dim))
     for lo in range(0, n_rep, step):
         blk = inv_chol[lo:lo + step]
         # unpacked at once, so no block's factors outlive their copy into the stack
-        blk[...], logdet[lo:lo + step], jitter[lo:lo + step] = chol_logdet(blk)
+        blk[...], logdet[lo:lo + step] = chol_logdet(blk)
     basis = kernels.basis
-    weight = 1.0 / (0.5 + jitter[:, None] + rho * kernels.kernel.dmax[:, None] * basis.lam)
+    weight = 1.0 / (0.5 + rho * kernels.kernel.dmax[:, None] * basis.lam)
     return CandidateTable(indices=kernels.indices, orbit=kernels.orbit, turns=kernels.turns,
                           mu=mu, inv_chol=inv_chol, logdet=logdet, eigvecs=basis.V,
                           weight=weight)
@@ -329,10 +328,10 @@ def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
     score is the Gaussian objective (y'-mu)^T Sigma^{-1} (y'-mu) + logdet
     Sigma of the winning candidate; ties go to the lowest table position.
 
-    Sigma_c = I/2 + rho He D_c He^T with D_c <= dmax_c I, so a factor with
-    jitter t has Sigma_c + t I <= V diag(1/w_c) V^T (see `CandidateTable`)
-    and every candidate's objective is at least
-    logdet_c + sum_i w_ci (z_i - m_ci)^2, with z = V^T y' and m_c = V^T mu_c.
+    Sigma_c = I/2 + rho He D_c He^T with D_c <= dmax_c I, so Sigma_c <=
+    V diag(1/w_c) V^T (see `CandidateTable`) and every candidate's objective
+    is at least logdet_c + sum_i w_ci (z_i - m_ci)^2, with z = V^T y' and
+    m_c = V^T mu_c.
     The bound used is
 
         logdet_c - s (1 + |logdet_c|)

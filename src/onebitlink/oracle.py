@@ -161,14 +161,12 @@ def _feed(acc, arrays, known=None):
         a.add(*(arrays[k] for k in names), *(squares[k] for k in names))
 
 
-def _chunks(draws, chunk):
+def _chunks(draws):
     if draws < MIN_DRAWS:
         raise ParameterError(f"draws must be at least {MIN_DRAWS}, got {draws}")
-    if chunk < 1:
-        raise ParameterError(f"chunk must be at least 1, got {chunk}")
     done = 0
     while done < draws:
-        step = min(chunk, draws - done)
+        step = min(CHUNK, draws - done)
         done += step
         yield step
 
@@ -211,7 +209,7 @@ def _received(xq, He, rho, z):
     return y
 
 
-def _run_conditional(x, H, G, sigma2, eta, rho, draws, rng, kinds, chunk):
+def _run_conditional(x, H, G, sigma2, eta, rho, draws, rng, kinds):
     x = stack_ri(np.asarray(x, dtype=np.complex128))
     n = x.size // 2
     m = None if H is None else np.asarray(H).shape[0]
@@ -229,7 +227,7 @@ def _run_conditional(x, H, G, sigma2, eta, rho, draws, rng, kinds, chunk):
     known = _known_squares(eta)
 
     acc = _accumulators(kinds)
-    for step in _chunks(draws, chunk):
+    for step in _chunks(draws):
         d_raw = rng.standard_normal((2, step, n))
         z_raw = rng.standard_normal((2, step, m)) if need_rx else None
         for rows in _slices(step):
@@ -254,7 +252,7 @@ def _run_conditional(x, H, G, sigma2, eta, rho, draws, rng, kinds, chunk):
     return {k: a.estimate() for k, a in acc.items()}
 
 
-def _run_gauss(W, H, sigma2, eta, rho, draws, rng, kinds, chunk):
+def _run_gauss(W, H, sigma2, eta, rho, draws, rng, kinds):
     W = np.asarray(W)
     n, k_streams = W.shape
     m = None if H is None else np.asarray(H).shape[0]
@@ -271,7 +269,7 @@ def _run_gauss(W, H, sigma2, eta, rho, draws, rng, kinds, chunk):
     known = _known_squares(eta)
 
     acc = _accumulators(kinds)
-    for step in _chunks(draws, chunk):
+    for step in _chunks(draws):
         s_raw = rng.standard_normal((2, step, k_streams))
         d_raw = rng.standard_normal((2, step, n))
         z_raw = rng.standard_normal((2, step, m)) if need_y else None
@@ -292,7 +290,7 @@ def _run_gauss(W, H, sigma2, eta, rho, draws, rng, kinds, chunk):
 
 def mc_moment(kind: str, sigma2: float, eta: float, x=None, H=None, rho: float = 1.0,
               draws: int = 10 ** 5, rng: np.random.Generator = None,
-              W=None, G=None, chunk: int = CHUNK) -> OracleEstimate:
+              W=None, G=None) -> OracleEstimate:
     """Monte-Carlo estimate (with standard errors) of one chain moment.
 
     sigma2 is the dither variance per antenna and eta the quantizer's
@@ -310,11 +308,11 @@ def mc_moment(kind: str, sigma2: float, eta: float, x=None, H=None, rho: float =
             raise ParameterError(f"kind {kind!r} needs the fixed precoded vector x")
         if G is None and _reads({kind}, *_RESIDUAL):
             G = lmmse_gain(np.asarray(x, dtype=np.complex128), sigma2, eta)
-        return _run_conditional(x, H, G, sigma2, eta, rho, draws, rng, {kind}, chunk)[kind]
+        return _run_conditional(x, H, G, sigma2, eta, rho, draws, rng, {kind})[kind]
     if kind in _GAUSS_KINDS:
         if W is None:
             raise ParameterError(f"kind {kind!r} needs the precoder W")
-        return _run_gauss(W, H, sigma2, eta, rho, draws, rng, {kind}, chunk)[kind]
+        return _run_gauss(W, H, sigma2, eta, rho, draws, rng, {kind})[kind]
     raise ParameterError(f"unknown oracle kind {kind!r}")
 
 
@@ -398,9 +396,8 @@ def validate_instance(spec: InstanceSpec, draws: int,
     G = lmmse_gain(x, sigma2, eta)
     closed = closed_form_moments(x, H, W, G, sigma2, eta, spec.rho)
 
-    cond = _run_conditional(x, H, G, sigma2, eta, spec.rho, draws, rng,
-                            _CONDITIONAL_KINDS, CHUNK)
-    gauss = _run_gauss(W, H, sigma2, eta, spec.rho, draws, rng, _GAUSS_KINDS, CHUNK)
+    cond = _run_conditional(x, H, G, sigma2, eta, spec.rho, draws, rng, _CONDITIONAL_KINDS)
+    gauss = _run_gauss(W, H, sigma2, eta, spec.rho, draws, rng, _GAUSS_KINDS)
     estimates = {**cond, **gauss}
 
     label = (f"N={spec.n_tx} M={spec.n_rx} K={spec.n_streams} "

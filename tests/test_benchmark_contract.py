@@ -68,6 +68,8 @@ def test_dither_pieces_are_built_once_per_dither_power(monkeypatch):
         assert m["stats.kernels"][0] == per_power
         assert m["detect.tables"][0] == per_point
         assert m["txchain.quantize_ms.n"][0] == per_power
+        # the tracer reads CholFactor.jitter, which stays 0.0
+        assert m["core.chol_jitter_events"][0] == 0
 
 
 def test_oracle_draws_count_each_pass_once(monkeypatch):

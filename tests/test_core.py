@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ from scipy.special import erf as scipy_erf
 
 import onebitlink
 from onebitlink.core import (CHOL_LEAF, Constellation, FactorizationError, ParameterError,
-                             _chol_jittered, axis_magnitude, chol_logdet, complex_normal,
+                             axis_magnitude, chol_logdet, complex_normal,
                              erf, make_constellation, qam16, qpsk, quantize_1bit,
                              substream, svd_topk, tril_inv)
 from onebitlink.stats import stack_ri
@@ -169,7 +170,7 @@ def test_erf_special_values_and_shapes():
 
 
 # ---------------------------------------------------------------------------
-# Cholesky with jitter escalation
+# Cholesky factors and log-determinants
 # ---------------------------------------------------------------------------
 
 def test_chol_logdet_trivial_cases():
@@ -184,23 +185,18 @@ def test_chol_logdet_matches_slogdet():
     A = rng.standard_normal((7, 7))
     S = A @ A.T + 7 * np.eye(7)
     f = chol_logdet(S)
-    assert f.jitter == 0.0
     assert_allclose(f.inv_factor @ S @ f.inv_factor.T, np.eye(7), atol=1e-10)
     sign, ld = np.linalg.slogdet(S)
     assert sign == 1.0
     assert f.logdet == pytest.approx(ld, rel=1e-12)
 
 
-def test_chol_logdet_jitters_singular_matrix():
-    f = chol_logdet(np.diag([1.0, 0.0]))
-    assert f.jitter > 0.0
-    assert np.isfinite(f.logdet)
-
-
 def test_chol_logdet_reports_failing_pivot():
-    with pytest.raises(FactorizationError) as exc:
-        chol_logdet(np.diag([1.0, -1.0]))
-    assert exc.value.pivot == 1
+    # no jitter rescues a singular matrix: it fails like an indefinite one
+    for diag in ([1.0, -1.0], [1.0, 0.0]):
+        with pytest.raises(FactorizationError, match="pivot 1$") as exc:
+            chol_logdet(np.diag(diag))
+        assert exc.value.pivot == 1
 
 
 def test_chol_logdet_rejects_nonsquare():
@@ -208,29 +204,25 @@ def test_chol_logdet_rejects_nonsquare():
         chol_logdet(np.ones((2, 3)))
 
 
-def test_chol_logdet_stack_jitters_only_the_failing_matrix():
+def test_chol_logdet_stack_reports_the_failing_pivot():
+    # (stack, index of the failing matrix, pivot): an indefinite and a
+    # singular 2x2, a singular 5x5 among random SPD ones, and a 2-d stack
     rng = substream(6, 1)
     A = rng.standard_normal((3, 5, 5))
-    S = A @ A.transpose(0, 2, 1) + 5 * np.eye(5)
-    S[1] = np.diag([1.0, 2.0, 0.0, 3.0, 4.0])
-    f = chol_logdet(S)
-    assert f.inv_factor.shape == (3, 5, 5) and f.logdet.shape == (3,)
-    for i in (0, 2):
-        assert np.array_equal(f.inv_factor[i], tril_inv(np.linalg.cholesky(S[i])))
-        assert f.logdet[i] == pytest.approx(np.linalg.slogdet(S[i])[1], rel=1e-12)
-    alone = chol_logdet(S[1])
-    assert alone.jitter > 0.0
-    assert np.array_equal(f.inv_factor[1], alone.inv_factor)
-    assert f.logdet[1] == alone.logdet
-    assert f.jitter == alone.jitter
-    assert float(f.jitter) == f.jitter and np.ndim(f.jitter) == 0
-
-
-def test_chol_logdet_stack_reports_the_failing_pivot():
-    S = np.stack([np.eye(2), np.diag([1.0, -1.0])])
-    with pytest.raises(FactorizationError) as exc:
-        chol_logdet(S)
-    assert exc.value.pivot == 1
+    spd = A @ A.transpose(0, 2, 1) + 5 * np.eye(5)
+    spd[1] = np.diag([1.0, 2.0, 0.0, 3.0, 4.0])
+    grid = np.tile(np.eye(3), (2, 3, 1, 1))
+    grid[1, 2] = np.diag([1.0, 1.0, -1.0])
+    cases = [(np.stack([np.eye(2), np.diag([1.0, -1.0])]), (1,), 1),
+             (np.stack([np.eye(2), np.diag([1.0, 0.0])]), (1,), 1),
+             (spd, (1,), 2), (grid, (1, 2), 2)]
+    for S, index, pivot in cases:
+        before = S.copy()
+        message = f"matrix at index {index} not positive definite at pivot {pivot}"
+        with pytest.raises(FactorizationError, match=re.escape(message)) as exc:
+            chol_logdet(S)
+        assert exc.value.pivot == pivot
+        assert np.array_equal(S, before)
 
 
 def test_chol_logdet_rejects_non_finite_matrix():
@@ -246,7 +238,7 @@ def test_chol_logdet_stack_names_the_first_non_finite_matrix():
     S[1, 2, 0, 0] = np.inf
     with pytest.raises(ParameterError, match=r"index \(1, 0\)"):
         chol_logdet(S)
-    S[0, 1] = np.diag([1.0, 0.0, 1.0])  # the per-matrix jitter route checks too
+    S[0, 1] = np.diag([1.0, 0.0, 1.0])  # checked before a singular matrix ahead of it fails
     with pytest.raises(ParameterError, match=r"index \(1, 0\)"):
         chol_logdet(S)
 
@@ -254,7 +246,7 @@ def test_chol_logdet_stack_names_the_first_non_finite_matrix():
 @pytest.mark.parametrize("S", [[[1.0, np.inf], [np.inf, 1.0]], [[1.0, 0.0], [0.0, -np.inf]]],
                          ids=["inf-off-diagonal", "minus-inf-diagonal"])
 def test_chol_logdet_rejects_infinite_entries_up_front(S):
-    # refused before any factorization or jitter escalation, so no warning
+    # refused before any factorization, so no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match="non-finite"):
@@ -303,7 +295,7 @@ def test_chol_logdet_recursive_route_inverts_the_factor(d):
     before = S.copy()
     f = chol_logdet(S)
     assert np.array_equal(S, before)
-    assert f.jitter == 0.0 and f.inv_factor.shape == S.shape
+    assert f.inv_factor.shape == S.shape
     assert np.all(np.triu(f.inv_factor, 1) == 0.0)
     assert_allclose(f.inv_factor @ S @ f.inv_factor.transpose(0, 2, 1),
                     np.broadcast_to(np.eye(d), S.shape), rtol=0, atol=1e-12)
@@ -325,36 +317,22 @@ def test_chol_logdet_at_the_leaf_is_cholesky_and_tril_inv(d):
     assert np.array_equal(f.logdet, 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1))
 
 
-def test_chol_logdet_recursion_jitters_only_the_failing_matrix():
-    # the middle matrix is singular in its last row and column only: its
-    # leading leaves factor and its last Schur leaf fails, so the block goes
-    # the per-matrix way, which jitters that matrix alone
-    d = 66
-    S = _spd_stack(d, 5)
-    S[1, -1, :] = S[1, :, -1] = 0.0
+@pytest.mark.parametrize("pivot, singular", [(3, False), (40, False), (65, False), (65, True)],
+                         ids=["3", "40", "65", "65-singular"])
+def test_chol_logdet_recursion_reports_the_failing_pivot(pivot, singular):
+    # -1 on the diagonal of the middle matrix at the pivot, or (singular) its
+    # last row and column zeroed: its leading leaves factor and its last
+    # Schur leaf fails
+    S = _spd_stack(66, 5) if singular else np.stack([np.eye(66)] * 3)
+    if singular:
+        S[1, -1, :] = S[1, :, -1] = 0.0
+    else:
+        S[1, pivot, pivot] = -1.0
     before = S.copy()
-    f = chol_logdet(S)
-    assert np.array_equal(S, before)
-    for i in (0, 2):
-        L = np.linalg.cholesky(S[i])
-        assert np.array_equal(f.inv_factor[i], tril_inv(L))
-        assert f.logdet[i] == 2.0 * np.log(np.diag(L)).sum()
-    L = np.empty((d, d))
-    t = _chol_jittered(S[1], L)
-    assert t > 0.0 and f.jitter == t
-    assert np.array_equal(f.inv_factor[1], tril_inv(L))
-    assert f.logdet[1] == 2.0 * np.log(np.diag(L)).sum()
-    alone = chol_logdet(S[1])
-    assert np.array_equal(alone.inv_factor, f.inv_factor[1]) and alone.jitter == t
-
-
-@pytest.mark.parametrize("pivot", [3, 40, 65])
-def test_chol_logdet_recursion_reports_the_failing_pivot(pivot):
-    S = np.stack([np.eye(66), np.eye(66)])
-    S[1, pivot, pivot] = -1.0
-    with pytest.raises(FactorizationError) as exc:
+    with pytest.raises(FactorizationError, match=re.escape("index (1,)")) as exc:
         chol_logdet(S)
     assert exc.value.pivot == pivot
+    assert np.array_equal(S, before)
     with pytest.raises(FactorizationError) as exc:
         chol_logdet(S[1])
     assert exc.value.pivot == pivot

@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 from scipy.special import erf
 
 from onebitlink import detect
-from onebitlink.core import (ParameterError, chol_logdet, make_constellation, qam16, qpsk,
-                             quantize_1bit, substream)
+from onebitlink.core import (FactorizationError, ParameterError, chol_logdet,
+                             make_constellation, qam16, qpsk, quantize_1bit, substream)
 from onebitlink.detect import (CandidateTable, build_candidate_kernels,
                                build_candidate_table, blmmse_combiner,
                                enumerate_candidates, ml_detect_batch,
@@ -227,40 +227,22 @@ def test_pruned_ml_equals_exhaustive(seed, n, m, k, sigma2, rho, const, draw):
 @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 8), m=st.integers(1, 6),
        k=st.integers(1, 3), sigma2=st.floats(0.01, 10.0),
        rho=st.sampled_from([0.0, 3.0, 1e4]), const=st.sampled_from(["qpsk", "16qam"]),
-       draw=st.sampled_from(["model", "random", "means"]), jitter=st.booleans())
-@example(seed=1, n=2, m=5, k=1, sigma2=0.1, rho=1e4, const="16qam", draw="model",
-         jitter=False)
-@example(seed=2, n=3, m=6, k=2, sigma2=0.05, rho=3.0, const="qpsk", draw="means",
-         jitter=True)
-@example(seed=3, n=2, m=4, k=2, sigma2=0.5, rho=1e4, const="16qam", draw="random",
-         jitter=True)
+       draw=st.sampled_from(["model", "random", "means"]))
+@example(seed=1, n=2, m=5, k=1, sigma2=0.1, rho=1e4, const="16qam", draw="model")
+@example(seed=2, n=3, m=9, k=2, sigma2=0.05, rho=3.0, const="qpsk", draw="means")
+@example(seed=3, n=2, m=6, k=2, sigma2=0.5, rho=1e4, const="16qam", draw="random")
 # M = 17 and 33 (2M = 34 and 66), past the order where chol_logdet recurses
-@example(seed=4, n=4, m=13, k=2, sigma2=0.1, rho=3.0, const="16qam", draw="model",
-         jitter=True)
-@example(seed=5, n=3, m=30, k=2, sigma2=0.05, rho=1e4, const="qpsk", draw="means",
-         jitter=True)
-def test_bound_never_exceeds_the_exact_score(seed, n, m, k, sigma2, rho, const, draw,
-                                             jitter):
+@example(seed=4, n=4, m=17, k=2, sigma2=0.1, rho=3.0, const="16qam", draw="model")
+@example(seed=5, n=3, m=33, k=2, sigma2=0.05, rho=1e4, const="qpsk", draw="means")
+def test_bound_never_exceeds_the_exact_score(seed, n, m, k, sigma2, rho, const, draw):
     # the pruning bound of every (row, candidate) pair against the exact
-    # score, at rho 0, 3 and 1e4, on channels with M > N (zero eigenvalues
-    # of embed(H H^H)) and on tables whose factorization needed jitter
+    # score, at rho 0, 3 and 1e4, and on channels with M > N (zero
+    # eigenvalues of embed(H H^H))
     k = min(k, n, m, 2 if const == "16qam" else 3)
     constellation = make_constellation(const)
-    if jitter:
-        m, rho = n + m, rho or 3.0
     H, W, rng = _system(seed, n=n, m=m, k=k)
     eta = 1.0 / n
-    kernels = build_candidate_kernels(receive_basis(H), W, constellation, sigma2, eta)
-    if jitter:
-        # take the I/2 floor and a little more off every covariance, leaving
-        # rho He D He^T - e I: indefinite when M > N, so it factors only with
-        # a jitter t > e, which the weights must then include
-        inner = kernels.kernel.inner
-        e = 1e-10 * np.trace(inner, axis1=1, axis2=2).max() * rho / inner.shape[-1]
-        inner = inner - (0.5 + e) / rho * np.eye(inner.shape[-1])
-        kernels = kernels._replace(kernel=dataclasses.replace(kernels.kernel, inner=inner))
-        assert chol_logdet(assemble_stats(kernels.kernel, rho)[1]).jitter > 0.0
-    table = build_candidate_table(kernels, rho)
+    table = _table(H, W, constellation, sigma2, eta, rho)
     nv = 32
     if draw == "random":
         Y = np.sqrt(1.0 + rho) * (rng.standard_normal((nv, m))
@@ -278,6 +260,22 @@ def test_bound_never_exceeds_the_exact_score(seed, n, m, k, sigma2, rho, const, 
     rows, cands = np.divmod(np.arange(nv * table.n_candidates), table.n_candidates)
     score = detect._score_pairs(Yt, table, rows, cands)
     assert np.all(terms @ coef <= score.reshape(nv, -1))
+
+
+@pytest.mark.parametrize("m", [6, 17])
+def test_table_refuses_a_covariance_that_is_not_positive_definite(m):
+    # take the I/2 floor and a little more off every covariance, leaving
+    # rho He D He^T - e I: indefinite when M > N, so the table build raises;
+    # 2M = 34 goes through the block recursion
+    rho = 3.0
+    H, W, _ = _system(3, n=2, m=m, k=2)
+    kernels = build_candidate_kernels(receive_basis(H), W, qpsk(), 0.5, 0.5)
+    inner = kernels.kernel.inner
+    e = 1e-10 * np.trace(inner, axis1=1, axis2=2).max() * rho / inner.shape[-1]
+    inner = inner - (0.5 + e) / rho * np.eye(inner.shape[-1])
+    kernels = kernels._replace(kernel=dataclasses.replace(kernels.kernel, inner=inner))
+    with pytest.raises(FactorizationError, match="not positive definite at pivot"):
+        build_candidate_table(kernels, rho)
 
 
 @pytest.mark.parametrize("const, k", [("16qam", 2), ("qpsk", 3), ("single", 2)])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -479,6 +481,20 @@ def test_cli_reports_an_unwritable_output_in_one_line(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("onebitlink: cannot write") and len(err.splitlines()) == 1
+
+
+def test_cli_fails_a_factorization_instead_of_printing_a_ser(capsys):
+    # at 160 dB a candidate covariance I/2 + rho He D He^T is not positive
+    # definite in float64: the run exits 1 with one line naming the pivot,
+    # and no SER row is printed
+    code = main(["--m", "16", "--k", "2", "--snr-db", "160", "--dither-dbm", "2",
+                 "--channels", "1", "--symbols", "50", "--detectors", "ml"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert re.fullmatch(r"onebitlink: matrix at index \(\d+,\) not positive definite "
+                        r"at pivot \d+\n", err)
 
 
 def test_cli_self_check_passes():

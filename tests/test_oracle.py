@@ -21,9 +21,6 @@ def _params(sigma2=0.4, n=3):
 def test_mc_moment_enforces_draw_floor():
     with pytest.raises(ParameterError):
         mc_moment("mean_xq", x=np.zeros(3, dtype=complex), **_params(), draws=9999)
-    # a chunk of no rows would never finish the pass
-    with pytest.raises(ParameterError):
-        mc_moment("mean_xq", x=np.zeros(3, dtype=complex), **_params(), chunk=0)
     # the bundled validation takes the same floor: standard errors over fewer
     # draws are no gate
     spec = InstanceSpec(n_tx=4, n_rx=2, n_streams=1, sigma2=0.1, rho=2.0, seed=0)
@@ -123,9 +120,10 @@ def _complex_chain_moment(kind, x, H, G, W, sigma2, eta, rho, draws, chunk, rng)
     return total / draws
 
 
-def test_mc_moment_keeps_the_complex_draw_stream():
+def test_mc_moment_keeps_the_complex_draw_stream(monkeypatch):
     # the stacked-real chain draws the same numbers in the same stream order
     # as the complex one, so only matrix-product rounding separates them
+    monkeypatch.setattr(oracle, "CHUNK", 4000)
     rng = substream(8, 0)
     n, m, k = 3, 2, 2
     W = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
@@ -135,7 +133,7 @@ def test_mc_moment_keeps_the_complex_draw_stream():
     G = lmmse_gain(x, sigma2, eta)
     for kind in ("cov_pd", "noise_cov", "cov_y_gauss"):
         est = mc_moment(kind, sigma2, eta, x=x, H=H, G=G, W=W, rho=2.0, draws=10 ** 4,
-                        rng=substream(8, 1), chunk=4000)
+                        rng=substream(8, 1))
         ref = _complex_chain_moment(kind, x, H, G, W, sigma2, eta, 2.0, 10 ** 4, 4000,
                                     substream(8, 1))
         assert_allclose(est.value, ref, rtol=1e-12, atol=0, err_msg=kind)
@@ -163,13 +161,13 @@ def test_known_square_sums_equal_explicit_squares(monkeypatch):
     n, k = 3, 2
     W = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
     x = W @ qam16().points[[2, 13]]
-    sigma2, eta, draws, chunk = 0.3, 1.0 / n, 25_000, 10_000
+    sigma2, eta, draws = 0.3, 1.0 / n, 25_000
+    monkeypatch.setattr(oracle, "CHUNK", 10_000)
     operands = {"mean_xq": ("xq",), "cross_xd_xq": ("xd", "xq"), "cov_xq": ("xq", "xq"),
                 "cross_xd_xq_gauss": ("xd", "xq"), "cov_xq_gauss": ("xq", "xq")}
     for kind, names in operands.items():
         seen.clear()
-        est = mc_moment(kind, sigma2, eta, x=x, W=W, draws=draws, chunk=chunk,
-                        rng=substream(9, 1))
+        est = mc_moment(kind, sigma2, eta, x=x, W=W, draws=draws, rng=substream(9, 1))
         # chunks of 10,000, 10,000 and 5,000 rows, each quantized slice by slice
         assert [xd.shape[0] for xd, _ in seen] == _slice_rows([10_000, 10_000, 5_000]), kind
         s = s2 = 0.0
@@ -202,6 +200,7 @@ def test_slices_keep_the_stream_and_the_estimates(monkeypatch):
     H = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
     x = W @ qam16().points[[5, 12]]
     sigma2, eta, rho, draws, chunk = 0.3, 1.0 / n, 2.0, 25_000, 10_000
+    monkeypatch.setattr(oracle, "CHUNK", chunk)
     G = lmmse_gain(x, sigma2, eta)
     steps = [10_000, 10_000, 5_000]
     assert len(set(_slice_rows(steps))) > 2  # ragged slices within each chunk
@@ -209,13 +208,13 @@ def test_slices_keep_the_stream_and_the_estimates(monkeypatch):
     def passes():
         rng, twin = substream(10, 1), substream(10, 1)
         cond = oracle._run_conditional(x, H, G, sigma2, eta, rho, draws, rng,
-                                       oracle._CONDITIONAL_KINDS, chunk)
+                                       oracle._CONDITIONAL_KINDS)
         for step in steps:
             twin.standard_normal((2, step, n))
             twin.standard_normal((2, step, m))
         assert rng.bit_generator.state == twin.bit_generator.state
         gauss = oracle._run_gauss(W, H, sigma2, eta, rho, draws, rng,
-                                  oracle._GAUSS_KINDS, chunk)
+                                  oracle._GAUSS_KINDS)
         for step in steps:
             for width in (k, n, m):
                 twin.standard_normal((2, step, width))
