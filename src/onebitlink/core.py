@@ -33,11 +33,15 @@ class FactorizationError(ArithmeticError):
         Zero-based index of the first leading minor found not positive
         definite: in the block recursion, within the Schur complement of the
         leaf that failed, offset to the whole matrix.
+    index : tuple of int
+        Position of the failing matrix in the stack that was factored; ()
+        for one matrix.
     """
 
-    def __init__(self, message, pivot: int):
+    def __init__(self, message, pivot: int, index: tuple = ()):
         super().__init__(message)
         self.pivot = pivot
+        self.index = index
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +272,9 @@ def _factorization_error(A: np.ndarray, offset: int) -> FactorizationError:
     flat = A.reshape(-1, d, d)
     i = next(i for i, Ai in enumerate(flat) if not _is_pd(Ai))
     pivot = offset + next(k for k in range(d) if not _is_pd(flat[i, :k + 1, :k + 1]))
-    return FactorizationError(f"matrix{_at(A, np.unravel_index(i, A.shape[:-2]))} "
-                              f"not positive definite at pivot {pivot}", pivot=pivot)
+    index = tuple(int(j) for j in np.unravel_index(i, A.shape[:-2]))
+    return FactorizationError(f"matrix{_at(A, index)} not positive definite at pivot {pivot}",
+                              pivot=pivot, index=index)
 
 
 def _is_pd(S: np.ndarray) -> bool:

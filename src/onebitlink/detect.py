@@ -22,13 +22,13 @@ flip. An alphabet that is not closed gets orbits of one candidate each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import Constellation, ParameterError, chol_logdet
+from .core import Constellation, FactorizationError, ParameterError, chol_logdet
 from .stats import ReceiveBasis, SymbolKernel, assemble_stats, stack_ri, symbol_kernel
 from .txchain import cov_y_unconditional
 
@@ -65,20 +65,31 @@ class CandidateTable:
     w = 1/(1/2 + rho dmax lam), where dmax is the representative's largest
     quantizer-output variance: Sigma <= V diag(1/w) V^T for every member of
     the orbit (the quarter turn Q commutes with embed(H H^H)).
+
+    A table built from kernels stacked over P dither points (see
+    `build_candidate_kernels`) has a leading axis of P points on the
+    per-orbit fields mu, inv_chol, logdet and weight, and detection reads
+    one point's table from it with `point`. The per-position fields and the
+    eigenbasis are shared by every point.
     """
 
     indices: np.ndarray   # (L^K, K) per-stream constellation indices
     orbit: np.ndarray     # (L^K,) row of the per-orbit fields holding the representative
     turns: np.ndarray     # (L^K,) k in 0..3 with s = j^k s_r
-    mu: np.ndarray        # (orbits, 2M) the representatives' stacked means
-    inv_chol: np.ndarray  # (orbits, 2M, 2M) inverse lower Cholesky factors L^{-1}
-    logdet: np.ndarray    # (orbits,)
+    mu: np.ndarray        # ([P,] orbits, 2M) the representatives' stacked means
+    inv_chol: np.ndarray  # ([P,] orbits, 2M, 2M) inverse lower Cholesky factors L^{-1}
+    logdet: np.ndarray    # ([P,] orbits)
     eigvecs: np.ndarray   # (2M, 2M) eigenvectors V of embed(H H^H), one per column
-    weight: np.ndarray    # (orbits, 2M) eigenbasis bound weights 1/(1/2 + rho dmax lam)
+    weight: np.ndarray    # ([P,] orbits, 2M) eigenbasis bound weights 1/(1/2 + rho dmax lam)
 
     @property
     def n_candidates(self) -> int:
         return self.indices.shape[0]
+
+    def point(self, p: int) -> CandidateTable:
+        """Point p of a stacked table, as a table whose per-orbit fields are views."""
+        return replace(self, mu=self.mu[p], inv_chol=self.inv_chol[p],
+                       logdet=self.logdet[p], weight=self.weight[p])
 
 
 def enumerate_candidates(constellation: Constellation,
@@ -141,16 +152,22 @@ class CandidateKernels(NamedTuple):
     indices: np.ndarray    # (L^K, K) per-stream constellation indices
     orbit: np.ndarray      # (L^K,) row of kernel holding the position's representative
     turns: np.ndarray      # (L^K,) k with candidate = j^k representative
-    kernel: SymbolKernel   # stacked over the representatives
+    kernel: SymbolKernel   # stacked over ([points,] representatives)
 
 
 def build_candidate_kernels(basis: ReceiveBasis, W, constellation: Constellation,
-                            sigma2: float, eta: float) -> CandidateKernels:
+                            sigma2, eta: float) -> CandidateKernels:
     """Kernels of the orbit representatives of every candidate (see `_orbits`).
 
     basis is the channel's `receive_basis`. Reusable across an SNR sweep;
     table positions follow the candidate order of `enumerate_candidates`.
+    sigma2 is one dither variance, or a 1-D array of P of them: the kernel
+    then has a leading axis of P points, built by one `symbol_kernel` call,
+    and each point's kernel equals the one built at its variance alone.
     """
+    if np.ndim(sigma2) > 1:
+        raise ParameterError(f"sigma2 must be a number or a 1-D array, got shape "
+                             f"{np.shape(sigma2)}")
     W = np.asarray(W)
     digits, orbit, turns, rep_symbols = _candidate_orbits(constellation.points.tobytes(),
                                                           W.shape[1])
@@ -165,7 +182,7 @@ def _candidate_orbits(points: bytes, n_streams: int):
     The candidates of `enumerate_candidates` and their `_orbits` depend on
     the alphabet and the stream count alone, so they are built once for each
     and shared, read-only, by every kernel build: a sweep builds kernels once
-    per channel and dither power.
+    per channel and stack of dither points.
     """
     constellation = Constellation(np.frombuffer(points, dtype=np.complex128))
     digits, symbols = enumerate_candidates(constellation, n_streams)
@@ -176,28 +193,60 @@ def _candidate_orbits(points: bytes, n_streams: int):
     return out
 
 
+def points_per_table(constellation: Constellation, n_streams: int, n_rx: int) -> int:
+    """Dither points whose candidate tables one stacked table holds.
+
+    As many as keep its covariance stack, orbits x (2 n_rx)^2 entries per
+    point, within one factorization block of BLOCK_ENTRIES entries, and at
+    least one.
+    """
+    n_rep = _candidate_orbits(constellation.points.tobytes(), n_streams)[3].shape[0]
+    return max(1, BLOCK_ENTRIES // (n_rep * (2 * n_rx) ** 2))
+
+
 def build_candidate_table(kernels: CandidateKernels, rho: float) -> CandidateTable:
     """Cached detector statistics at transmit SNR rho from `build_candidate_kernels`.
 
-    The representatives' covariance stack is factored block by block, one
-    `chol_logdet` call per block, and each inverse Cholesky factor overwrites
-    its covariance in the stack. Means, log-determinants and bound weights
-    stay per orbit. A covariance that is not positive definite raises
-    FactorizationError.
+    The representatives' covariance stack, flattened over (point, orbit) for
+    stacked kernels, is factored block by block, one `chol_logdet` call per
+    block of BLOCK_ENTRIES entries, and each inverse Cholesky factor
+    overwrites its covariance in the stack. Means, log-determinants and
+    bound weights stay per orbit, and per point for stacked kernels (see
+    `CandidateTable`). A covariance that is not positive definite raises
+    FactorizationError naming the orbit representative's per-stream symbol
+    indices and, in a stacked table, the point; its index is (point, orbit)
+    or (orbit,).
     """
     mu, inv_chol = assemble_stats(kernels.kernel, rho)
-    n_rep, dim = inv_chol.shape[0], inv_chol.shape[-1]
-    logdet = np.empty(n_rep)
+    dim = inv_chol.shape[-1]
+    stack = inv_chol.reshape(-1, dim, dim)
+    logdet = np.empty(stack.shape[0])
     step = max(1, BLOCK_ENTRIES // (dim * dim))
-    for lo in range(0, n_rep, step):
-        blk = inv_chol[lo:lo + step]
-        # unpacked at once, so no block's factors outlive their copy into the stack
-        blk[...], logdet[lo:lo + step] = chol_logdet(blk)
+    for lo in range(0, stack.shape[0], step):
+        blk = stack[lo:lo + step]
+        try:
+            # unpacked at once, so no block's factors outlive their copy into the stack
+            blk[...], logdet[lo:lo + step] = chol_logdet(blk)
+        except FactorizationError as exc:
+            raise _candidate_error(exc, kernels, inv_chol.shape[:-2], lo) from None
     basis = kernels.basis
-    weight = 1.0 / (0.5 + rho * kernels.kernel.dmax[:, None] * basis.lam)
+    weight = 1.0 / (0.5 + rho * kernels.kernel.dmax[..., None] * basis.lam)
     return CandidateTable(indices=kernels.indices, orbit=kernels.orbit, turns=kernels.turns,
-                          mu=mu, inv_chol=inv_chol, logdet=logdet, eigvecs=basis.V,
-                          weight=weight)
+                          mu=mu, inv_chol=inv_chol, logdet=logdet.reshape(inv_chol.shape[:-2]),
+                          eigvecs=basis.V, weight=weight)
+
+
+def _candidate_error(exc: FactorizationError, kernels: CandidateKernels, shape: tuple,
+                     lo: int) -> FactorizationError:
+    """exc from the block starting at row lo of the flattened stack of this shape,
+    naming the failing representative by its symbol indices, and its point."""
+    index = tuple(int(i) for i in np.unravel_index(lo + exc.index[0], shape))
+    # the lowest position of an orbit holds its representative
+    digits = tuple(int(v) for v in kernels.indices[np.argmax(kernels.orbit == index[-1])])
+    where = f" at point {index[0]} of the stack" if len(index) > 1 else ""
+    return FactorizationError(f"covariance of the candidate with symbol indices {digits}"
+                              f"{where} is not positive definite at pivot {exc.pivot}",
+                              pivot=exc.pivot, index=index)
 
 
 def _turned_rows(Y: np.ndarray, table: CandidateTable) -> np.ndarray:

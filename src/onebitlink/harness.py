@@ -6,6 +6,13 @@ dedicated sub-streams and re-scaled at every grid point (common random
 numbers), so curves differ only through the operating point and not through
 sampling noise. Work is parallelized across channels; error counts are exactly
 reproducible for any worker count.
+
+The ML candidate tables of a dither grid are built in groups: consecutive
+dither powers, as many as `detect.points_per_table` fits in one factorization
+block, share one stacked kernel build and one stacked table per channel. A
+row's `seconds` is the wall time its detector spent on the row's grid point,
+summed over channels; a group's ML builds are charged to the group's first
+point, so its other points carry their detection alone.
 """
 
 from __future__ import annotations
@@ -22,10 +29,11 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelParams, draw_channel, make_precoder
-from .core import (ParameterError, complex_normal, make_constellation, quantize_1bit,
-                   substream)
+from .core import (FactorizationError, ParameterError, complex_normal, make_constellation,
+                   quantize_1bit, substream)
 from .detect import (MAX_TABLE, build_candidate_kernels, build_candidate_table,
-                     ml_detect_batch, slice_min_distance_batch, blmmse_combiner)
+                     ml_detect_batch, points_per_table, slice_min_distance_batch,
+                     blmmse_combiner)
 from .stats import receive_basis
 from .txchain import bussgang_gain, cov_xd, cov_xq_unconditional
 
@@ -175,28 +183,47 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
     if "guess" in cfg.detectors:
         guess_digits = substream(cfg.seed, channel_index, GUESS).integers(0, const.size, size=(nv, k))
 
-    # What depends on the dither power alone lives while that power is in use.
-    # The rows are quantized once per run of equal sigma2; the ML kernels and
-    # BLMMSE pieces are built at the first point whose detector needs them,
-    # which is charged their build time. The channel's receive basis is built
-    # the same way, once, at the first ml point.
+    # What depends on the dither power alone lives while that power is in use:
+    # the rows are quantized, and the BLMMSE pieces built at the first blmmse
+    # point, once per run of equal sigma2. The ML kernels of consecutive runs
+    # are built as one stack, a group of as many runs as `points_per_table`
+    # fits in one factorization block, and in a dither grid (one rho) so is
+    # their table; an SNR grid has one run, and factors its stack at every
+    # point. A group's builds, and the channel's receive basis, happen at the
+    # group's first ml point, which is charged their build time; its other
+    # points carry only their own detection.
+    axis, points = cfg.sweep_points()
+    starts = [i for i, (_, s2, _) in enumerate(points) if i == 0 or s2 != points[i - 1][1]]
+    per_table = points_per_table(const, k, cfg.n_rx) if "ml" in cfg.detectors else 1
     out = {}
-    current = basis = None
-    for idx, (_, sigma2, rho) in enumerate(cfg.sweep_points()[1]):
-        if sigma2 != current:
-            current = sigma2
+    run = -1
+    basis = kernels = None
+    for idx, (_, sigma2, rho) in enumerate(points):
+        if run + 1 < len(starts) and starts[run + 1] == idx:
+            run += 1
             Xq = quantize_1bit(X + np.sqrt(sigma2) * U, eta)
-            kernels = combiner = None
+            combiner = None
+            if run % per_table == 0:
+                kernels = None
         Y = np.sqrt(rho) * Xq @ H.T + Z
         for det in cfg.detectors:
             t0 = time.perf_counter()
             if det == "ml":
-                if kernels is None:
-                    if basis is None:
-                        basis = receive_basis(H)
-                    kernels = build_candidate_kernels(basis, W, const, sigma2, eta)
-                table = build_candidate_table(kernels, rho)
-                decided = ml_detect_batch(Y, table)[0]
+                if kernels is None or axis == "rho_db":
+                    lo = run - run % per_table
+                    try:
+                        if kernels is None:
+                            if basis is None:
+                                basis = receive_basis(H)
+                            group = np.array([points[i][1] for i in starts[lo:lo + per_table]])
+                            kernels = build_candidate_kernels(basis, W, const, group, eta)
+                        table = build_candidate_table(kernels, rho)
+                    except FactorizationError as exc:
+                        failed = starts[lo + exc.index[0]] if axis == "dither_dbm" else idx
+                        raise FactorizationError(
+                            f"channel {channel_index}, {_grid_point(cfg, failed)}: {exc}",
+                            pivot=exc.pivot, index=exc.index) from None
+                decided = ml_detect_batch(Y, table.point(run % per_table))[0]
             elif det == "blmmse":
                 if combiner is None:
                     C_xd = cov_xd(W, sigma2)
@@ -208,6 +235,12 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
             errors = int(np.sum(decided != true_digits))
             out[(idx, det)] = (errors, time.perf_counter() - t0)
     return out
+
+
+def _grid_point(cfg: ExperimentConfig, idx: int) -> str:
+    """'rho_db r, dither_dbm d' of the sweep's grid point idx."""
+    pick = lambda grid: grid[idx if len(grid) > 1 else 0]
+    return f"rho_db {pick(cfg.rho_db):g}, dither_dbm {pick(cfg.dither_dbm):g}"
 
 
 def _openblas(name: str, *args):

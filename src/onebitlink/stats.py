@@ -39,16 +39,21 @@ def embed(P) -> np.ndarray:
     return np.block([[P.real, -P.imag], [P.imag, P.real]])
 
 
-def _check_sigma(sigma2: float):
-    if not sigma2 > 0:
+def _check_sigma(sigma2):
+    if not np.all(np.asarray(sigma2) > 0):
         raise SingularityError(
             f"dither variance must be positive for conditional statistics, got {sigma2}"
         )
 
 
-def _phi(x: np.ndarray, sigma2: float) -> np.ndarray:
-    """core.erf(stack_ri(x) / sigma): the stacked sign means of the quantizer, unscaled."""
-    return erf(stack_ri(x) / np.sqrt(sigma2))
+def _phi(x: np.ndarray, sigma2) -> np.ndarray:
+    """core.erf(stack_ri(x) / sigma): the stacked sign means of the quantizer, unscaled.
+
+    A 1-D array of dither variances gives a leading axis, one entry per variance.
+    """
+    xs = stack_ri(x)
+    sigma = np.sqrt(sigma2)
+    return erf(xs / np.reshape(sigma, np.shape(sigma) + (1,) * xs.ndim))
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +177,13 @@ class SymbolKernel:
         mu_y(rho)    = sqrt(rho) * mean_core
         Sigma_y(rho) = rho * inner + I/2,   inner = embed(H) diag(d) embed(H)^T
 
-    The fields stack over the leading axes of x. The inner matrices of all
-    candidates come from one GEMM of the stacked d against the channel's
-    Khatri-Rao product `ReceiveBasis.kr`. dmax = max(d) bounds D = diag(d)
-    by dmax I, so Sigma_y <= I/2 + rho dmax embed(H H^H) in the Loewner order:
-    the detector's pruning bound.
+    The fields stack over the leading axes of x, after a leading point axis
+    when the dither variance is a 1-D array of them. The inner matrices of
+    all candidates, at every dither variance, come from one GEMM of the
+    stacked d against the channel's Khatri-Rao product `ReceiveBasis.kr`.
+    dmax = max(d) bounds D = diag(d) by dmax I, so
+    Sigma_y <= I/2 + rho dmax embed(H H^H) in the Loewner order: the
+    detector's pruning bound.
 
     This is algebraically identical to the term-by-term route of
     `conditional_moments`, where mu_y is sqrt(rho) stack_ri(H G x) plus its
@@ -190,18 +197,22 @@ class SymbolKernel:
     dmax: np.ndarray       # (...,) largest per-axis variance of the quantizer output
 
 
-def symbol_kernel(basis: ReceiveBasis, x: np.ndarray, sigma2: float,
+def symbol_kernel(basis: ReceiveBasis, x: np.ndarray, sigma2,
                   eta: float) -> SymbolKernel:
     """Kernel of the precoded vector x, shape (N,), or of each row of x, shape (L, N).
 
-    basis is the channel's `receive_basis`.
+    basis is the channel's `receive_basis`. sigma2 is one dither variance,
+    or a 1-D array of P of them, which puts a leading axis of P points on
+    every field; each point's kernel equals the one built at its variance
+    alone.
     """
     _check_sigma(sigma2)
     He = basis.He
     phi = _phi(np.asarray(x, dtype=np.complex128), sigma2)
     mean_core = np.sqrt(eta / 2.0) * phi @ He.T
     d = (eta / 2.0) * (1.0 - phi * phi)
-    inner = (d @ basis.kr.T).reshape(d.shape[:-1] + (He.shape[0],) * 2)
+    rows = d.reshape(-1, d.shape[-1]) if d.ndim > 2 else d
+    inner = (rows @ basis.kr.T).reshape(d.shape[:-1] + (He.shape[0],) * 2)
     return SymbolKernel(mean_core=mean_core, inner=inner, dmax=d.max(axis=-1))
 
 

@@ -65,9 +65,14 @@ def test_dither_pieces_are_built_once_per_dither_power(monkeypatch):
         per_power = len(cfg.dither_dbm) * cfg.n_channels
         per_point = len(cfg.sweep_points()[1]) * cfg.n_channels
         assert len(tracer.by_name("txchain.cov_xd")) == per_power
-        assert m["stats.kernels"][0] == per_power
-        assert m["detect.tables"][0] == per_point
         assert m["txchain.quantize_ms.n"][0] == per_power
+        # both dither points fit one stack (64 covariance entries each), so
+        # each channel builds one kernel stack, and in the dither grid one
+        # table; the SNR grid factors its stack once per point
+        assert m["stats.kernels"][0] == cfg.n_channels
+        assert m["detect.tables"][0] == (cfg.n_channels if len(cfg.dither_dbm) > 1
+                                         else per_point)
+        assert m["detect.candidates_per_table"][0] == 16
         # the tracer reads CholFactor.jitter, which stays 0.0
         assert m["core.chol_jitter_events"][0] == 0
 

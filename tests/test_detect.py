@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import time
 
 import numpy as np
@@ -276,6 +277,110 @@ def test_table_refuses_a_covariance_that_is_not_positive_definite(m):
     kernels = kernels._replace(kernel=dataclasses.replace(kernels.kernel, inner=inner))
     with pytest.raises(FactorizationError, match="not positive definite at pivot"):
         build_candidate_table(kernels, rho)
+
+
+# dither variances of -10, 0, 10, 20 and again -10 dBm: the last revisits the first
+GRID = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1e-4])
+
+
+@pytest.mark.parametrize("const, k, n, m, blocks", [
+    ("16qam", 1, 12, 3, None), ("qpsk", 2, 12, 3, None), ("16qam", 1, 128, 16, None),
+    ("16qam", 1, 12, 3, 3), ("qpsk", 2, 12, 3, 5)])
+def test_stacked_points_equal_the_per_point_builds(monkeypatch, const, k, n, m, blocks):
+    # every point of a stacked build against the build at its variance alone,
+    # bit for bit: the fields, then the decisions and scores of detection on
+    # the point's slice. With blocks set, the flattened (point, orbit) stack is
+    # factored `blocks` covariances at a time, so blocks mix points.
+    constellation = make_constellation(const)
+    H, W, rng = _system(11, n=n, m=m, k=k)
+    eta, rho, dim = 1.0 / n, 3.0, 2 * m
+    basis = receive_basis(H)
+    per_point = [_table(H, W, constellation, s2, eta, rho) for s2 in GRID]
+    if blocks is not None:
+        monkeypatch.setattr(detect, "BLOCK_ENTRIES", blocks * dim * dim)
+    kernels = build_candidate_kernels(basis, W, constellation, GRID, eta)
+    stacked = build_candidate_table(kernels, rho)
+    orbits = constellation.size ** k // 4
+    assert kernels.kernel.inner.shape == (GRID.size, orbits, dim, dim)
+    assert stacked.inv_chol.shape == (GRID.size, orbits, dim, dim)
+    assert stacked.n_candidates == constellation.size ** k
+    Y = rng.standard_normal((50, m)) + 1j * rng.standard_normal((50, m))
+    for p, want in enumerate(per_point):
+        got = stacked.point(p)
+        for name in ("mu", "inv_chol", "logdet", "weight"):
+            field = getattr(got, name)
+            assert np.array_equal(field, getattr(want, name)), name
+            assert field.base is not None and np.shares_memory(field, getattr(stacked, name))
+        for name in ("indices", "orbit", "turns", "eigvecs"):
+            assert getattr(got, name) is getattr(stacked, name)
+        got_idx, got_score = ml_detect_batch(Y, got)
+        want_idx, want_score = ml_detect_batch(Y, want)
+        assert np.array_equal(got_idx, want_idx)
+        assert np.array_equal(got_score, want_score)
+    # the revisited variance gives the first point's table again
+    assert np.array_equal(stacked.inv_chol[0], stacked.inv_chol[-1])
+
+
+def test_scalar_variance_keeps_the_unstacked_shapes():
+    H, W, _ = _system(11, n=12, m=3, k=2)
+    kernels = build_candidate_kernels(receive_basis(H), W, qpsk(), 0.01, 1.0 / 12)
+    table = build_candidate_table(kernels, 3.0)
+    assert kernels.kernel.inner.shape == (4, 6, 6)
+    assert table.mu.shape == (4, 6) and table.logdet.shape == (4,)
+    assert table.weight.shape == (4, 6) and table.inv_chol.shape == (4, 6, 6)
+    with pytest.raises(ParameterError, match="1-D"):
+        build_candidate_kernels(receive_basis(H), W, qpsk(), GRID[None], 1.0 / 12)
+
+
+def test_points_per_table_fills_one_factorization_block():
+    # orbits x (2M)^2 covariance entries per point against BLOCK_ENTRIES = 2^19
+    assert detect.points_per_table(qam16(), 1, 16) == 2 ** 19 // (4 * 32 ** 2)
+    assert detect.points_per_table(qam16(), 2, 64) == 1   # 64 x 128^2 = 2^20
+    assert detect.points_per_table(qam16(), 3, 16) == 1   # 1024 x 32^2 = 2^20
+    assert detect.points_per_table(make_constellation("single"), 1, 1) == 2 ** 17
+
+
+def _broken(kernels, point, orbit):
+    # the kernel with one representative's covariance made indefinite at rho 3:
+    # rho * inner + I/2 with inner = -I
+    inner = kernels.kernel.inner.copy()
+    at = (point, orbit) if point is not None else (orbit,)
+    inner[at] = -np.eye(inner.shape[-1])
+    return kernels._replace(kernel=dataclasses.replace(kernels.kernel, inner=inner))
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_factorization_error_names_the_candidate_in_a_later_block(monkeypatch, stacked):
+    # 16 orbits of 16-QAM at K = 2, factored 3 at a time: orbit 13 sits in
+    # the fifth block, at row 1 of it
+    monkeypatch.setattr(detect, "BLOCK_ENTRIES", 3 * 6 * 6)
+    H, W, _ = _system(12, n=12, m=3, k=2)
+    sigma2 = GRID[:2] if stacked else 0.01
+    kernels = build_candidate_kernels(receive_basis(H), W, qam16(), sigma2, 1.0 / 12)
+    kernels = _broken(kernels, 1 if stacked else None, 13)
+    rep = kernels.indices[np.flatnonzero(kernels.orbit == 13)[0]]
+    assert kernels.turns[np.flatnonzero(kernels.orbit == 13)[0]] == 0
+    where = " at point 1 of the stack" if stacked else ""
+    message = (f"covariance of the candidate with symbol indices ({rep[0]}, {rep[1]}){where} "
+               "is not positive definite at pivot 0")
+    with pytest.raises(FactorizationError, match=f"^{re.escape(message)}$") as exc:
+        build_candidate_table(kernels, 3.0)
+    assert exc.value.index == ((1, 13) if stacked else (13,))
+    assert exc.value.pivot == 0
+
+
+def test_factorization_error_names_a_later_point_of_a_stack():
+    # one block holds the whole stack; the failing covariance is orbit 2 of
+    # the fourth point, row 4 * 3 + 2 of the block
+    H, W, _ = _system(12, n=12, m=3, k=1)
+    kernels = build_candidate_kernels(receive_basis(H), W, qam16(), GRID, 1.0 / 12)
+    kernels = _broken(kernels, 3, 2)
+    with pytest.raises(FactorizationError, match=r"\(\d+,\) at point 3 of the stack is not "
+                                                 r"positive definite at pivot 0$") as exc:
+        build_candidate_table(kernels, 3.0)
+    assert exc.value.index == (3, 2)
+    digits = re.search(r"indices \((\d+),\)", str(exc.value)).group(1)
+    assert kernels.orbit[int(digits)] == 2 and kernels.turns[int(digits)] == 0
 
 
 @pytest.mark.parametrize("const, k", [("16qam", 2), ("qpsk", 3), ("single", 2)])

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import onebitlink
 from onebitlink.cli import main
-from onebitlink.core import ParameterError
+from onebitlink.core import FactorizationError, ParameterError
 from onebitlink.stats import receive_basis
 from onebitlink.harness import (CSV_HEADER, MAX_GRID_POINTS, ExperimentConfig, SweepReport,
                                 build_config, csv_equal_ignoring_timing,
@@ -220,14 +221,14 @@ def test_trials_accounting_per_stream():
 # ---------------------------------------------------------------------------
 
 def test_seconds_include_the_per_dither_builds(monkeypatch):
-    # the kernel and combiner builds are charged to the first grid point of
-    # each run of equal dither power; a fixed delay in each build shows up
-    # there only.
+    # the combiner builds are charged to the first grid point of each run of
+    # equal dither power, and each stacked kernel build to the first point of
+    # its group of runs; a fixed delay in each build shows up there only.
     # The harness reads a virtual clock that only the delayed builds advance,
     # so the charged seconds are exact whatever the host load.
     from types import SimpleNamespace
 
-    from onebitlink import harness
+    from onebitlink import detect, harness
 
     delay = 0.05
     now = [0.0]
@@ -251,17 +252,26 @@ def test_seconds_include_the_per_dither_builds(monkeypatch):
     first, second = points(rho_db=(0.0, 10.0), dither_dbm=(2.0,))
     assert all(r.seconds == pytest.approx(2 * delay, abs=1e-12) for r in first)
     assert all(r.seconds == 0.0 for r in second)
-    # a dither grid: one build per channel at every point, also at a dither
-    # power the list revisits, which repeats the first point's errors
+    # a dither grid: a combiner build per channel at every point, also at a
+    # dither power the list revisits, which repeats the first point's errors;
+    # the three points share one kernel stack per channel (a table of 4 orbits
+    # of 4 x 4 covariances holds 64 entries per point), built at the first
     grid = points(rho_db=(5.0,), dither_dbm=(0.0, 10.0, 0.0))
-    assert all(r.seconds == pytest.approx(2 * delay, abs=1e-12) for pt in grid for r in pt)
+    assert [r.seconds for pt in grid for r in pt] == pytest.approx(
+        [2 * delay, 2 * delay, 0.0, 2 * delay, 0.0, 2 * delay], abs=1e-12)
     assert [r.errors for r in grid[0]] == [r.errors for r in grid[2]]
+    # with room for two points per block, the third point starts a second group
+    monkeypatch.setattr(detect, "BLOCK_ENTRIES", 2 * 64)
+    split = points(rho_db=(5.0,), dither_dbm=(0.0, 10.0, 0.0))
+    assert [r.seconds for pt in split for r in pt] == pytest.approx(
+        [2 * delay, 2 * delay, 0.0, 2 * delay, 2 * delay, 2 * delay], abs=1e-12)
+    assert [[r.errors for r in pt] for pt in split] == [[r.errors for r in pt] for pt in grid]
 
 
 def test_receive_basis_built_once_per_channel(monkeypatch):
     # the basis has the channel's lifetime: a 2-point dither sweep builds the
-    # kernels at both points but the basis once per channel, and a sweep
-    # without ml never builds it
+    # kernels of both points as one stack, and the basis, once per channel,
+    # and a sweep without ml never builds it
     from onebitlink import harness
 
     built, used = [], []
@@ -280,11 +290,87 @@ def test_receive_basis_built_once_per_channel(monkeypatch):
     cfg = dict(n_tx=8, n_rx=2, n_channels=3, n_symbol_vectors=10, rho_db=(5.0,),
                dither_dbm=(0.0, 10.0))
     run_sweep(ExperimentConfig(detectors=("blmmse", "ml"), **cfg))
-    assert len(built) == 3 and len(used) == 6
-    assert all(u is built[i // 2] for i, u in enumerate(used))
+    assert len(built) == 3 and len(used) == 3
+    assert all(u is b for u, b in zip(used, built))
     built.clear()
     run_sweep(ExperimentConfig(detectors=("blmmse",), **cfg))
     assert built == []
+
+
+def test_kernel_stacks_follow_the_factorization_block(monkeypatch):
+    # consecutive dither points share one kernel build per channel while
+    # their covariances fit one factorization block (16-QAM, K = 1, M = 2:
+    # 4 orbits of 4 x 4 covariances, 64 entries per point), with the same
+    # errors however they are grouped; an SNR grid builds once per channel
+    from onebitlink import detect, harness
+
+    sizes = []
+    build = harness.build_candidate_kernels
+
+    def recording(basis, W, const, sigma2, eta):
+        sizes.append(np.shape(sigma2))
+        return build(basis, W, const, sigma2, eta)
+
+    monkeypatch.setattr(harness, "build_candidate_kernels", recording)
+    base = dict(n_tx=8, n_rx=2, n_channels=2, n_symbol_vectors=10, detectors=("ml",))
+    dither = dict(rho_db=(5.0,), dither_dbm=(-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0))
+
+    def errors(block):
+        sizes.clear()
+        monkeypatch.setattr(detect, "BLOCK_ENTRIES", block)
+        return [r.errors for r in run_sweep(ExperimentConfig(**base, **dither)).rows]
+
+    whole = errors(2 ** 19)
+    assert sizes == [(8,)] * 2
+    assert errors(3 * 64) == whole
+    assert sizes == [(3,), (3,), (2,)] * 2
+    # one point's stack exceeds the block: one point at a time
+    assert errors(32) == whole
+    assert sizes == [(1,)] * 16
+    sizes.clear()
+    run_sweep(ExperimentConfig(**base, rho_db=(0.0, 10.0, 20.0), dither_dbm=(2.0,)))
+    assert sizes == [(1,)] * 2
+
+
+def test_factorization_error_names_the_channel_and_grid_point(monkeypatch):
+    from onebitlink import detect, harness
+
+    build = harness.build_candidate_kernels
+
+    def breaking(call, slot, scale):
+        # the kernel build numbered `call` gets inner = -scale I at orbit 0 of
+        # point `slot`, whose covariance rho * inner + I/2 then fails at pivot
+        # 0 wherever rho > 1 / (2 scale)
+        calls = []
+
+        def broken(basis, W, const, sigma2, eta):
+            kernels = build(basis, W, const, sigma2, eta)
+            calls.append(sigma2)
+            if len(calls) == call:
+                inner = kernels.kernel.inner.copy()
+                inner[slot, 0] = -scale * np.eye(inner.shape[-1])
+                kernels = kernels._replace(kernel=dataclasses.replace(kernels.kernel,
+                                                                      inner=inner))
+            return kernels
+        return broken
+
+    base = dict(n_tx=8, n_rx=2, n_channels=2, n_symbol_vectors=10, detectors=("ml",))
+    # a dither grid in groups of 3 points: the fifth build is channel 1's
+    # second group, whose point 1 is the grid's 10 dBm
+    monkeypatch.setattr(detect, "BLOCK_ENTRIES", 3 * 64)
+    monkeypatch.setattr(harness, "build_candidate_kernels", breaking(5, 1, 1.0))
+    with pytest.raises(FactorizationError) as exc:
+        run_sweep(ExperimentConfig(**base, rho_db=(5.0,), dither_dbm=(
+            -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0)))
+    assert str(exc.value) == ("channel 1, rho_db 5, dither_dbm 10: covariance of the candidate "
+                              "with symbol indices (0,) at point 1 of the stack is not "
+                              "positive definite at pivot 0")
+    assert exc.value.index == (1, 0) and exc.value.pivot == 0
+    # an SNR grid builds once per channel: channel 1's -0.1 I first fails at
+    # rho > 5, the grid's 10 dB
+    monkeypatch.setattr(harness, "build_candidate_kernels", breaking(2, 0, 0.1))
+    with pytest.raises(FactorizationError, match="^channel 1, rho_db 10, dither_dbm 2: "):
+        run_sweep(ExperimentConfig(**base, rho_db=(0.0, 5.0, 10.0), dither_dbm=(2.0,)))
 
 
 def test_csv_text_layout(tmp_path):
@@ -493,8 +579,9 @@ def test_cli_fails_a_factorization_instead_of_printing_a_ser(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert re.fullmatch(r"onebitlink: matrix at index \(\d+,\) not positive definite "
-                        r"at pivot \d+\n", err)
+    assert re.fullmatch(r"onebitlink: channel 0, rho_db 160, dither_dbm 2: covariance of the "
+                        r"candidate with symbol indices \(\d+, \d+\) at point 0 of the stack "
+                        r"is not positive definite at pivot \d+\n", err)
 
 
 def test_cli_self_check_passes():
