@@ -21,6 +21,7 @@ quadrature blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -145,15 +146,18 @@ def conditional_moments(x: np.ndarray, H: np.ndarray, G: np.ndarray,
 class ReceiveBasis:
     """What the received statistics need of one channel H, built once per channel.
 
-    He = embed(H), the row-wise Khatri-Rao product kr of He with itself,
-    kr[i * 2M + j] = He[i] * He[j], shape (4M^2, 2N), and the eigenbasis
-    He He^T = embed(H H^H) = V diag(lam) V^T, with lam clipped at 0. Every
-    candidate's covariance is a congruence by He (see `SymbolKernel`), so
-    this is the one object the kernels and the detector's bound share.
+    He = embed(H), the upper triangle of the row-wise Khatri-Rao product of
+    He with itself, kr = He[i] * He[j] for i <= j in `np.triu_indices`
+    order, shape (2M(2M+1)/2, 2N), and the eigenbasis
+    He He^T = embed(H H^H) = V diag(lam) V^T, with lam clipped at 0. Rows
+    (i, j) and (j, i) of the full product are equal, so kr keeps one of
+    each. Every candidate's covariance is a congruence by He (see
+    `SymbolKernel`), so this is the one object the kernels and the
+    detector's bound share.
     """
 
     He: np.ndarray   # (2M, 2N)
-    kr: np.ndarray   # (4M^2, 2N)
+    kr: np.ndarray   # (2M(2M+1)/2, 2N) rows He[i] * He[j], i <= j
     lam: np.ndarray  # (2M,) ascending eigenvalues of He He^T, at least 0
     V: np.ndarray    # (2M, 2M) orthonormal eigenvectors, one per column
 
@@ -161,7 +165,13 @@ class ReceiveBasis:
 def receive_basis(H: np.ndarray) -> ReceiveBasis:
     """The per-channel `ReceiveBasis` of the channel matrix H, shape (M, N)."""
     He = embed(H)
-    kr = (He[:, None, :] * He[None, :, :]).reshape(-1, He.shape[1])
+    dim = He.shape[0]
+    kr = np.empty((dim * (dim + 1) // 2, He.shape[1]))
+    lo = 0
+    for i in range(dim):
+        # row i's block of the triangle, written in place: no (pairs, 2N) temporaries
+        np.multiply(He[i], He[i:], out=kr[lo:lo + dim - i])
+        lo += dim - i
     lam, V = np.linalg.eigh(He @ He.T)
     return ReceiveBasis(He=He, kr=kr, lam=np.maximum(lam, 0.0), V=V)
 
@@ -177,10 +187,13 @@ class SymbolKernel:
         mu_y(rho)    = sqrt(rho) * mean_core
         Sigma_y(rho) = rho * inner + I/2,   inner = embed(H) diag(d) embed(H)^T
 
-    The fields stack over the leading axes of x, after a leading point axis
-    when the dither variance is a 1-D array of them. The inner matrices of
-    all candidates, at every dither variance, come from one GEMM of the
-    stacked d against the channel's Khatri-Rao product `ReceiveBasis.kr`.
+    inner is symmetric and is kept packed: its upper triangle, entries
+    (i, j) with i <= j in `np.triu_indices` order, 2M(2M+1)/2 of them, which
+    `assemble_stats` unpacks into the full Sigma_y. The fields stack over
+    the leading axes of x, after a leading point axis when the dither
+    variance is a 1-D array of them. The packed inner matrices of all
+    candidates, at every dither variance, come from one GEMM of the stacked
+    d against the channel's packed Khatri-Rao product `ReceiveBasis.kr`.
     dmax = max(d) bounds D = diag(d) by dmax I, so
     Sigma_y <= I/2 + rho dmax embed(H H^H) in the Loewner order: the
     detector's pruning bound.
@@ -193,7 +206,7 @@ class SymbolKernel:
     """
 
     mean_core: np.ndarray  # (..., 2M)
-    inner: np.ndarray      # (..., 2M, 2M)
+    inner: np.ndarray      # (..., 2M(2M+1)/2) upper triangle of embed(H) diag(d) embed(H)^T
     dmax: np.ndarray       # (...,) largest per-axis variance of the quantizer output
 
 
@@ -204,7 +217,8 @@ def symbol_kernel(basis: ReceiveBasis, x: np.ndarray, sigma2,
     basis is the channel's `receive_basis`. sigma2 is one dither variance,
     or a 1-D array of P of them, which puts a leading axis of P points on
     every field; each point's kernel equals the one built at its variance
-    alone.
+    alone. inner comes out packed, one row of the GEMM against `basis.kr`
+    per candidate.
     """
     _check_sigma(sigma2)
     He = basis.He
@@ -212,20 +226,39 @@ def symbol_kernel(basis: ReceiveBasis, x: np.ndarray, sigma2,
     mean_core = np.sqrt(eta / 2.0) * phi @ He.T
     d = (eta / 2.0) * (1.0 - phi * phi)
     rows = d.reshape(-1, d.shape[-1]) if d.ndim > 2 else d
-    inner = (rows @ basis.kr.T).reshape(d.shape[:-1] + (He.shape[0],) * 2)
+    inner = (rows @ basis.kr.T).reshape(d.shape[:-1] + basis.kr.shape[:1])
     return SymbolKernel(mean_core=mean_core, inner=inner, dmax=d.max(axis=-1))
 
 
 def assemble_stats(kernel: SymbolKernel, rho: float):
     """Mean and covariance of the stacked received vector at transmit SNR rho.
 
-    Broadcasts over the kernel's leading axes; I/2 is added in place on the
-    diagonal, so no identity-sized temporary is formed.
+    Broadcasts over the kernel's leading axes. The packed inner matrices
+    are unpacked into full, exactly symmetric (2M, 2M) matrices by one
+    `np.take` through `_symmetric_index`, then scaled by rho and given I/2
+    on the diagonal in place, so no other matrix-sized temporary is formed.
     """
     if rho < 0:
         raise ParameterError("transmit SNR must be non-negative")
     mu = np.sqrt(rho) * kernel.mean_core
-    Sigma = rho * kernel.inner
-    diag = np.arange(Sigma.shape[-1])
+    dim = kernel.mean_core.shape[-1]
+    Sigma = np.take(kernel.inner, _symmetric_index(dim), axis=-1)
+    Sigma *= rho
+    diag = np.arange(dim)
     Sigma[..., diag, diag] += 0.5
     return mu, Sigma
+
+
+@lru_cache(maxsize=4)
+def _symmetric_index(dim: int) -> np.ndarray:
+    """(dim, dim) map from entry (i, j) to its place in a packed upper triangle.
+
+    Entries (i, j) and (j, i) both map to the `np.triu_indices(dim)`
+    position of (min, max). Built once per size and shared, read-only, by
+    every `assemble_stats` call.
+    """
+    i, j = np.triu_indices(dim)
+    index = np.empty((dim, dim), dtype=np.intp)
+    index[i, j] = index[j, i] = np.arange(i.size)
+    index.flags.writeable = False
+    return index

@@ -40,6 +40,13 @@ def _direct_stats(H, W, constellation, sigma2, eta, rho):
     return assemble_stats(symbol_kernel(receive_basis(H), symbols @ W.T, sigma2, eta), rho)
 
 
+def _pack(full):
+    # upper triangles of the (..., d, d) matrices full, in np.triu_indices
+    # order: the layout of SymbolKernel.inner
+    i, j = np.triu_indices(full.shape[-1])
+    return full[..., i, j]
+
+
 def _position_chol(table, c):
     # lower factor of table position c: Q^k L_r with Q = embed(j I), so that
     # Sigma_c = Q^k L_r L_r^T Q^-k
@@ -271,9 +278,9 @@ def test_table_refuses_a_covariance_that_is_not_positive_definite(m):
     rho = 3.0
     H, W, _ = _system(3, n=2, m=m, k=2)
     kernels = build_candidate_kernels(receive_basis(H), W, qpsk(), 0.5, 0.5)
-    inner = kernels.kernel.inner
-    e = 1e-10 * np.trace(inner, axis1=1, axis2=2).max() * rho / inner.shape[-1]
-    inner = inner - (0.5 + e) / rho * np.eye(inner.shape[-1])
+    inner, eye = kernels.kernel.inner, _pack(np.eye(2 * m))
+    e = 1e-10 * (inner * eye).sum(axis=1).max() * rho / (2 * m)
+    inner = inner - (0.5 + e) / rho * eye
     kernels = kernels._replace(kernel=dataclasses.replace(kernels.kernel, inner=inner))
     with pytest.raises(FactorizationError, match="not positive definite at pivot"):
         build_candidate_table(kernels, rho)
@@ -301,7 +308,7 @@ def test_stacked_points_equal_the_per_point_builds(monkeypatch, const, k, n, m, 
     kernels = build_candidate_kernels(basis, W, constellation, GRID, eta)
     stacked = build_candidate_table(kernels, rho)
     orbits = constellation.size ** k // 4
-    assert kernels.kernel.inner.shape == (GRID.size, orbits, dim, dim)
+    assert kernels.kernel.inner.shape == (GRID.size, orbits, dim * (dim + 1) // 2)
     assert stacked.inv_chol.shape == (GRID.size, orbits, dim, dim)
     assert stacked.n_candidates == constellation.size ** k
     Y = rng.standard_normal((50, m)) + 1j * rng.standard_normal((50, m))
@@ -325,7 +332,7 @@ def test_scalar_variance_keeps_the_unstacked_shapes():
     H, W, _ = _system(11, n=12, m=3, k=2)
     kernels = build_candidate_kernels(receive_basis(H), W, qpsk(), 0.01, 1.0 / 12)
     table = build_candidate_table(kernels, 3.0)
-    assert kernels.kernel.inner.shape == (4, 6, 6)
+    assert kernels.kernel.inner.shape == (4, 21)
     assert table.mu.shape == (4, 6) and table.logdet.shape == (4,)
     assert table.weight.shape == (4, 6) and table.inv_chol.shape == (4, 6, 6)
     with pytest.raises(ParameterError, match="1-D"):
@@ -345,7 +352,7 @@ def _broken(kernels, point, orbit):
     # rho * inner + I/2 with inner = -I
     inner = kernels.kernel.inner.copy()
     at = (point, orbit) if point is not None else (orbit,)
-    inner[at] = -np.eye(inner.shape[-1])
+    inner[at] = -_pack(np.eye(kernels.kernel.mean_core.shape[-1]))
     return kernels._replace(kernel=dataclasses.replace(kernels.kernel, inner=inner))
 
 

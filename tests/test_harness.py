@@ -348,7 +348,9 @@ def test_factorization_error_names_the_channel_and_grid_point(monkeypatch):
             calls.append(sigma2)
             if len(calls) == call:
                 inner = kernels.kernel.inner.copy()
-                inner[slot, 0] = -scale * np.eye(inner.shape[-1])
+                # the packed identity: ones at the diagonal's places in the upper triangle
+                i, j = np.triu_indices(kernels.kernel.mean_core.shape[-1])
+                inner[slot, 0] = -scale * (i == j)
                 kernels = kernels._replace(kernel=dataclasses.replace(kernels.kernel,
                                                                       inner=inner))
             return kernels

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,8 +8,10 @@ from numpy.testing import assert_allclose
 
 from scipy.special import erf
 
-from onebitlink.core import (ParameterError, SingularityError, chol_logdet, qam16,
-                             quantize_1bit, substream)
+from onebitlink import detect, stats
+from onebitlink.core import (ParameterError, SingularityError, chol_logdet, make_constellation,
+                             qam16, quantize_1bit, substream)
+from onebitlink.detect import build_candidate_kernels, build_candidate_table
 from onebitlink.oracle import _CONDITIONAL_KINDS
 from onebitlink.stats import (assemble_stats, conditional_moments, cross_corr_cond,
                               embed, lmmse_gain, receive_basis, stack_ri, symbol_kernel)
@@ -257,23 +261,81 @@ def test_symbol_kernel_mean_scales_with_sqrt_snr():
 
 @pytest.mark.parametrize("m, n, rows", [(3, 6, 5), (6, 4, 3), (2, 2, 1)])
 def test_kernel_from_receive_basis_equals_direct_khatri_rao(m, n, rows):
-    # the per-channel basis only moves where the GEMM operands are built:
-    # the kernels equal, bit for bit, those from embed(H) and its row-wise
-    # Khatri-Rao product formed on the spot
+    # the per-channel basis only moves where the GEMM operands are built: its
+    # rows are the i <= j rows of embed(H)'s row-wise Khatri-Rao product
+    # formed on the spot, and the covariances equal, bit for bit, the upper
+    # triangle of that full product's kernels, mirrored
     rng = substream(20 + m, 50)
     H = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
     X = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
-    sigma2, eta = 0.3, 1.0 / n
+    sigma2, eta, rho = 0.3, 1.0 / n, 3.0
     He = np.block([[H.real, -H.imag], [H.imag, H.real]])
-    kr = np.stack([He[i] * He[j] for i in range(2 * m) for j in range(2 * m)])
+    dim = 2 * m
+    kr = np.stack([He[i] * He[j] for i in range(dim) for j in range(dim)])
+    upper = [i * dim + j for i in range(dim) for j in range(i, dim)]
+    basis = receive_basis(H)
+    assert np.array_equal(basis.kr, kr[upper])
     phi = erf(stack_ri(X) / np.sqrt(sigma2))
     d = (eta / 2.0) * (1.0 - phi * phi)
-    kern = symbol_kernel(receive_basis(H), X, sigma2, eta)
-    assert np.array_equal(kern.inner, (d @ kr.T).reshape(rows, 2 * m, 2 * m))
+    kern = symbol_kernel(basis, X, sigma2, eta)
+    full = (d @ kr.T).reshape(rows, dim, dim)
+    assert np.array_equal(kern.inner, full.reshape(rows, -1)[:, upper])
+    mirrored = np.triu(full) + np.swapaxes(np.triu(full, 1), 1, 2)
+    _, Sigma = assemble_stats(kern, rho)
+    assert np.array_equal(Sigma, rho * mirrored + 0.5 * np.eye(dim))
+    assert np.array_equal(Sigma, np.swapaxes(Sigma, 1, 2))
     assert np.array_equal(kern.mean_core, np.sqrt(eta / 2.0) * phi @ He.T)
     assert np.array_equal(kern.dmax, d.max(axis=1))
-    one = symbol_kernel(receive_basis(H), X[0], sigma2, eta)
-    assert one.inner.shape == (2 * m, 2 * m) and one.dmax == d[0].max()
+    one = symbol_kernel(basis, X[0], sigma2, eta)
+    assert one.inner.shape == (dim * (dim + 1) // 2,) and one.dmax == d[0].max()
+    assert assemble_stats(one, rho)[1].shape == (dim, dim)
+
+
+@pytest.mark.parametrize("const, k, m, sigma2", [
+    ("16qam", 1, 16, np.array([1e-4, 1e-3, 1e-2, 1e-1])), ("16qam", 3, 16, 1.6e-3),
+    ("16qam", 2, 64, 1.3e-3)])
+def test_packed_tables_equal_the_full_khatri_rao_route(monkeypatch, const, k, m, sigma2):
+    # at the benchmark's shapes (N = 128; M = 16 at K = 1 and 3, M = 64 at
+    # K = 2) a candidate table built from the packed kernels equals, bit for
+    # bit, one assembled from the full Khatri-Rao product: there the full
+    # GEMM is itself exactly symmetric
+    n, eta, rho = 128, 1.0 / 128, 3.0
+    rng = substream(40 + m + k, 50)
+    W = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
+    H = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
+    constellation = make_constellation(const)
+    basis = receive_basis(H)
+    kernels = build_candidate_kernels(basis, W, constellation, sigma2, eta)
+    packed = build_candidate_table(kernels, rho)
+
+    dim = 2 * m
+    kr = (basis.He[:, None, :] * basis.He[None, :, :]).reshape(-1, 2 * n)
+    symbols = detect._candidate_orbits(constellation.points.tobytes(), k)[3]
+    phi = stats._phi(symbols @ W.T, sigma2)
+    d = (eta / 2.0) * (1.0 - phi * phi)
+    inner = (d.reshape(-1, 2 * n) @ kr.T).reshape(d.shape[:-1] + (dim, dim))
+
+    def full_assemble(kernel, rho):
+        Sigma = rho * kernel.inner
+        Sigma[..., np.arange(dim), np.arange(dim)] += 0.5
+        return np.sqrt(rho) * kernel.mean_core, Sigma
+
+    monkeypatch.setattr(detect, "assemble_stats", full_assemble)
+    full = build_candidate_table(
+        kernels._replace(kernel=dataclasses.replace(kernels.kernel, inner=inner)), rho)
+    for name in ("mu", "inv_chol", "logdet", "weight"):
+        assert np.array_equal(getattr(packed, name), getattr(full, name)), name
+
+
+def test_symmetric_index_is_cached_read_only():
+    index = stats._symmetric_index(6)
+    assert stats._symmetric_index(6) is index
+    assert not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0, 0] = 1
+    i, j = np.triu_indices(6)
+    assert np.array_equal(index[i, j], np.arange(21))
+    assert np.array_equal(index, index.T)
 
 
 @pytest.mark.parametrize("m, n", [(3, 6), (6, 4), (4, 4)])
@@ -285,7 +347,7 @@ def test_receive_basis_eigenbasis(m, n):
     basis = receive_basis(H)
     G = embed(H @ H.conj().T)
     assert np.array_equal(basis.He, embed(H))
-    assert basis.kr.shape == (4 * m * m, 2 * n)
+    assert basis.kr.shape == (2 * m * (2 * m + 1) // 2, 2 * n)
     assert np.all(basis.lam >= 0.0) and np.all(np.diff(basis.lam) >= 0.0)
     assert_allclose(basis.V.T @ basis.V, np.eye(2 * m), atol=1e-13)
     assert_allclose((basis.V * basis.lam) @ basis.V.T, G, atol=1e-12 * np.abs(G).max())
