@@ -188,14 +188,18 @@ def _horner2(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Leaf order of the block recursion `_inv_chol_into`: blocks of this order or
-# less are factored by one LAPACK call and inverted by `tril_inv`, since below
-# it the recursion's batched products lose to LAPACK.
-CHOL_LEAF = 32
+# less are factored by one LAPACK call and inverted by np.linalg.inv, since
+# below it the recursion's batched products lose to LAPACK. Larger leaves
+# factor the sweeps' 32 x 32 and 128 x 128 stacks no faster, and would need
+# a second, triangular-inverse recursion.
+CHOL_LEAF = 8
 
 
 class CholFactor(NamedTuple):
     """Inverse lower Cholesky factors and log-determinants from `chol_logdet`.
 
+    `inv_factor` is the array that `chol_logdet` factored in place: the
+    caller's own float64 array, or the converted copy of any other input.
     `jitter` is always 0.0: a failed factorization raises instead of being
     retried with jitter. The property stays only because the benchmark's
     tracer reads it for its core.chol_jitter_events count; it goes when the
@@ -213,14 +217,18 @@ class CholFactor(NamedTuple):
 def chol_logdet(S: np.ndarray) -> CholFactor:
     """Inverse lower Cholesky factors and log-determinants of symmetric PD matrices.
 
-    S is one (d, d) matrix or a (..., d, d) stack; it is never modified. One
-    copy of S is overwritten with the inverse factors by the block recursion
-    of `_inv_chol_into`, in batched products over the stack, with exact zeros
-    above the diagonal; up to d = CHOL_LEAF that is one np.linalg.cholesky
-    call and `tril_inv`. Raises ParameterError naming the first matrix with a
-    NaN or Inf entry before factoring anything (the factorization does not
-    flag a NaN pivot), and FactorizationError naming the first matrix and
-    pivot where the factorization fails.
+    S is one (d, d) matrix or a (..., d, d) stack. A float64 array, or a
+    view of one, is overwritten in place with its inverse factors and is
+    then `inv_factor`, so no matrix-sized copy is made; a list or an array
+    of another dtype is converted first, and the caller's object is left
+    alone. The block recursion of `_inv_chol_into` does the work in batched
+    products over the stack, with exact zeros above the diagonal; up to
+    d = CHOL_LEAF that is one np.linalg.cholesky call and
+    np.tril(np.linalg.inv(L)). Raises ParameterError naming the first
+    matrix with a NaN or Inf entry before touching S (the factorization
+    does not flag a NaN pivot), and FactorizationError naming the first
+    matrix and pivot where the factorization fails, with S then partly
+    overwritten.
     """
     S = np.asarray(S, dtype=np.float64)
     if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
@@ -229,9 +237,8 @@ def chol_logdet(S: np.ndarray) -> CholFactor:
     if bad.any():
         raise ParameterError(f"matrix{_at(S, np.argwhere(bad)[0])} has non-finite entries "
                              "(NaN or Inf)")
-    inv = S.copy()
-    logdet = _inv_chol_into(inv)
-    return CholFactor(inv, float(logdet) if S.ndim == 2 else logdet)
+    logdet = _inv_chol_into(S)
+    return CholFactor(S, float(logdet) if S.ndim == 2 else logdet)
 
 
 def _inv_chol_into(A: np.ndarray, offset: int = 0) -> np.ndarray:
@@ -242,10 +249,12 @@ def _inv_chol_into(A: np.ndarray, offset: int = 0) -> np.ndarray:
     the inverse's lower block is -I22 L21 I11. Each block is overwritten in
     turn (S11 by I11, S22 by its Schur complement and then by I22, S21 by
     -I22 L21 I11) and the upper block is zeroed, so the only buffers are the
-    products' own. Blocks of order CHOL_LEAF or less are factored by LAPACK
-    and inverted by `tril_inv`. A holds pivots offset.. of the matrices being
-    factored. Returns the log-determinants; raises FactorizationError at the
-    first leaf that is not positive definite, with A then partly overwritten.
+    products' own and the leaves'. A block of order CHOL_LEAF or less is a
+    leaf: LAPACK factors it and np.linalg.inv inverts the factor, whose LU
+    solve may pivot and leave rounding above the diagonal, which np.tril
+    clears. A holds pivots offset.. of the matrices being factored. Returns
+    the log-determinants; raises FactorizationError at the first leaf that
+    is not positive definite, with A then partly overwritten.
     """
     d = A.shape[-1]
     if d <= CHOL_LEAF:
@@ -253,7 +262,7 @@ def _inv_chol_into(A: np.ndarray, offset: int = 0) -> np.ndarray:
             L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
             raise _factorization_error(A, offset) from None
-        A[...] = tril_inv(L)
+        A[...] = np.tril(np.linalg.inv(L))
         return 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
     h = d // 2
     I11, S21, S22 = A[..., :h, :h], A[..., h:, :h], A[..., h:, h:]
@@ -289,30 +298,6 @@ def _is_pd(S: np.ndarray) -> bool:
 def _at(S: np.ndarray, index) -> str:
     """' at index (i, ...)' naming a matrix of the stack S, '' for one matrix."""
     return "" if S.ndim == 2 else f" at index {tuple(int(i) for i in index)}"
-
-
-def tril_inv(L: np.ndarray) -> np.ndarray:
-    """Inverse of each lower triangular matrix of a (..., d, d) stack.
-
-    With L = [[A, 0], [C, B]] split at d/2, the inverse is
-    [[A^-1, 0], [-B^-1 C A^-1, B^-1]], so the work is batched matrix
-    products of the halves: about a quarter of the flops of a general
-    inverse, which solves against the identity as if L were full. Entries
-    above the diagonal are exact zeros.
-    """
-    d = L.shape[-1]
-    if d <= 8:  # too small for the products to beat one LAPACK call
-        # the LU solve pivots where a row's off-diagonal entries outweigh its
-        # diagonal one, which can leave rounding above the diagonal
-        return np.tril(np.linalg.inv(L))
-    h = d // 2
-    A_inv = tril_inv(L[..., :h, :h])
-    B_inv = tril_inv(L[..., h:, h:])
-    out = np.zeros_like(L)
-    out[..., :h, :h] = A_inv
-    out[..., h:, h:] = B_inv
-    out[..., h:, :h] = -(B_inv @ L[..., h:, :h]) @ A_inv
-    return out
 
 
 class TopKSubspace(NamedTuple):

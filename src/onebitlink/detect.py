@@ -208,14 +208,14 @@ def build_candidate_table(kernels: CandidateKernels, rho: float) -> CandidateTab
     """Cached detector statistics at transmit SNR rho from `build_candidate_kernels`.
 
     The representatives' covariance stack, flattened over (point, orbit) for
-    stacked kernels, is factored block by block, one `chol_logdet` call per
-    block of BLOCK_ENTRIES entries, and each inverse Cholesky factor
-    overwrites its covariance in the stack. Means, log-determinants and
-    bound weights stay per orbit, and per point for stacked kernels (see
-    `CandidateTable`). A covariance that is not positive definite raises
-    FactorizationError naming the orbit representative's per-stream symbol
-    indices and, in a stacked table, the point; its index is (point, orbit)
-    or (orbit,).
+    stacked kernels, is factored in place, one `chol_logdet` call on each
+    block of BLOCK_ENTRIES entries of it: each inverse Cholesky factor
+    overwrites its covariance, no block is copied, and the stack becomes the
+    table's inv_chol. Means, log-determinants and bound weights stay per
+    orbit, and per point for stacked kernels (see `CandidateTable`). A
+    covariance that is not positive definite raises FactorizationError
+    naming the orbit representative's per-stream symbol indices and, in a
+    stacked table, the point; its index is (point, orbit) or (orbit,).
     """
     mu, inv_chol = assemble_stats(kernels.kernel, rho)
     dim = inv_chol.shape[-1]
@@ -223,10 +223,8 @@ def build_candidate_table(kernels: CandidateKernels, rho: float) -> CandidateTab
     logdet = np.empty(stack.shape[0])
     step = max(1, BLOCK_ENTRIES // (dim * dim))
     for lo in range(0, stack.shape[0], step):
-        blk = stack[lo:lo + step]
         try:
-            # unpacked at once, so no block's factors outlive their copy into the stack
-            blk[...], logdet[lo:lo + step] = chol_logdet(blk)
+            logdet[lo:lo + step] = chol_logdet(stack[lo:lo + step]).logdet
         except FactorizationError as exc:
             raise _candidate_error(exc, kernels, inv_chol.shape[:-2], lo) from None
     basis = kernels.basis

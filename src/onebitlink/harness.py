@@ -191,7 +191,10 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
     # their table; an SNR grid has one run, and factors its stack at every
     # point. A group's builds, and the channel's receive basis, happen at the
     # group's first ml point, which is charged their build time; its other
-    # points carry only their own detection.
+    # points carry only their own detection. The previous table is released
+    # before the next build starts, so a channel holds one table at a time,
+    # and the transmit draws X and U once the last run's rows are quantized:
+    # an SNR grid holds them only until its first point.
     axis, points = cfg.sweep_points()
     starts = [i for i, (_, s2, _) in enumerate(points) if i == 0 or s2 != points[i - 1][1]]
     per_table = points_per_table(const, k, cfg.n_rx) if "ml" in cfg.detectors else 1
@@ -202,6 +205,8 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
         if run + 1 < len(starts) and starts[run + 1] == idx:
             run += 1
             Xq = quantize_1bit(X + np.sqrt(sigma2) * U, eta)
+            if run == len(starts) - 1:
+                X = U = None
             combiner = None
             if run % per_table == 0:
                 kernels = None
@@ -210,6 +215,7 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
             t0 = time.perf_counter()
             if det == "ml":
                 if kernels is None or axis == "rho_db":
+                    table = None
                     lo = run - run % per_table
                     try:
                         if kernels is None:

@@ -15,7 +15,7 @@ import onebitlink
 from onebitlink.core import (CHOL_LEAF, Constellation, FactorizationError, ParameterError,
                              axis_magnitude, chol_logdet, complex_normal,
                              erf, make_constellation, qam16, qpsk, quantize_1bit,
-                             substream, svd_topk, tril_inv)
+                             substream, svd_topk)
 from onebitlink.stats import stack_ri
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def test_chol_logdet_matches_slogdet():
     rng = substream(6, 0)
     A = rng.standard_normal((7, 7))
     S = A @ A.T + 7 * np.eye(7)
-    f = chol_logdet(S)
+    f = chol_logdet(S.copy())
     assert_allclose(f.inv_factor @ S @ f.inv_factor.T, np.eye(7), atol=1e-10)
     sign, ld = np.linalg.slogdet(S)
     assert sign == 1.0
@@ -253,67 +253,79 @@ def test_chol_logdet_rejects_infinite_entries_up_front(S):
             chol_logdet(np.array(S))
 
 
-@pytest.mark.parametrize("d", [1, 5, 8, 9, 37])
-def test_tril_inv_inverts_a_stack_of_factors(d):
-    rng = substream(6, 2)
-    A = rng.standard_normal((4, d, d))
-    L = np.linalg.cholesky(A @ A.transpose(0, 2, 1) + d * np.eye(d))
-    Li = tril_inv(L)
-    assert Li.shape == L.shape
-    assert_allclose(Li @ L, np.broadcast_to(np.eye(d), L.shape), atol=1e-13)
-    assert_allclose(Li, np.linalg.inv(L), rtol=1e-12, atol=1e-14)
-
-
-@pytest.mark.parametrize("d", [3, 8, 9, 12])
-def test_tril_inv_has_exact_zeros_above_the_diagonal(d):
-    # entries below the diagonal outweigh the diagonal ones, so the LU solves
-    # of the leaves pivot; their rounding above the diagonal must not survive
-    rng = substream(6, 7, d)
-    L = np.tril(2.0 * rng.standard_normal((16, d, d)), -1)
-    i = np.arange(d)
-    L[:, i, i] = rng.uniform(0.5, 1.0, (16, d))
-    assert np.any(np.abs(L) > L[:, i, i][:, :, None])
-    Li = tril_inv(L)
-    assert np.all(np.triu(Li, 1) == 0.0)
-    assert_allclose(Li @ L, np.broadcast_to(np.eye(d), L.shape), rtol=0, atol=1e-10)
+def test_chol_logdet_factors_a_float64_array_in_place():
+    # the caller's float64 array, a stack or one matrix of it, becomes the
+    # inverse factors; a list or a float32 array is converted and left alone
+    S = _spd_stack(12, 8)
+    want = chol_logdet(S.copy())
+    f = chol_logdet(S)
+    assert f.inv_factor is S
+    assert np.array_equal(S, want.inv_factor)
+    one = _spd_stack(12, 8)[1]
+    assert np.shares_memory(chol_logdet(one).inv_factor, one)
+    assert np.array_equal(one, want.inv_factor[1])
+    listed = _spd_stack(12, 8)[1].tolist()
+    kept = [row[:] for row in listed]
+    assert np.array_equal(chol_logdet(listed).inv_factor, want.inv_factor[1])
+    assert listed == kept
+    single = _spd_stack(12, 8).astype(np.float32)
+    before = single.copy()
+    assert not np.shares_memory(chol_logdet(single).inv_factor, single)
+    assert np.array_equal(single, before)
 
 
 def _spd_stack(d, key):
-    # badly scaled rows and columns, so tril_inv's small LU solves pivot and
-    # leave rounding above the diagonal, which the recursion must not keep
+    # badly scaled rows and columns, so the leaves' small LU solves pivot and
+    # leave rounding above the diagonal, which the factors must not keep
     rng = substream(6, key, d)
     A = rng.standard_normal((3, d, d))
     scale = np.exp(rng.uniform(-1.5, 1.5, (3, d)))
     return (A @ A.transpose(0, 2, 1) / d + 0.5 * np.eye(d)) * scale[:, :, None] * scale[:, None, :]
 
 
-@pytest.mark.parametrize("d", [33, 34, 64, 65, 128, 130])
+@pytest.mark.parametrize("d", [3, 8, 9, 12])
+def test_chol_logdet_has_exact_zeros_above_the_diagonal(d):
+    # factors whose entries below the diagonal outweigh the diagonal ones, so
+    # the LU solves of np.linalg.inv at the leaves pivot; their rounding above
+    # the diagonal must not survive, at a leaf (d <= CHOL_LEAF) or through it
+    rng = substream(6, 7, d)
+    L = np.tril(2.0 * rng.standard_normal((16, d, d)), -1)
+    i = np.arange(d)
+    L[:, i, i] = rng.uniform(0.5, 1.0, (16, d))
+    assert np.any(np.abs(L) > L[:, i, i][:, :, None])
+    S = L @ L.transpose(0, 2, 1)
+    f = chol_logdet(S.copy())
+    assert np.all(np.triu(f.inv_factor, 1) == 0.0)
+    # S is ill-conditioned (up to 6e11 at d = 12), hence the tolerance
+    assert_allclose(f.inv_factor @ S @ f.inv_factor.transpose(0, 2, 1),
+                    np.broadcast_to(np.eye(d), S.shape), rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("d", [9, 17, 32, 33, 34, 37, 64, 65, 128, 130])
 def test_chol_logdet_recursive_route_inverts_the_factor(d):
     # d > CHOL_LEAF: odd orders split into uneven halves at every level
     assert d > CHOL_LEAF
     S = _spd_stack(d, 3)
-    before = S.copy()
-    f = chol_logdet(S)
-    assert np.array_equal(S, before)
+    f = chol_logdet(S.copy())
     assert f.inv_factor.shape == S.shape
     assert np.all(np.triu(f.inv_factor, 1) == 0.0)
     assert_allclose(f.inv_factor @ S @ f.inv_factor.transpose(0, 2, 1),
                     np.broadcast_to(np.eye(d), S.shape), rtol=0, atol=1e-12)
+    assert_allclose(f.inv_factor, np.linalg.inv(np.linalg.cholesky(S)), rtol=1e-12, atol=1e-14)
     assert_allclose(f.logdet, np.linalg.slogdet(S)[1], rtol=1e-12)
     one = chol_logdet(S[1])
     assert_allclose(one.inv_factor, f.inv_factor[1], rtol=0, atol=1e-12)
     assert isinstance(one.logdet, float)
 
 
-@pytest.mark.parametrize("d", [1, 8, 17, 32])
+@pytest.mark.parametrize("d", [1, 5, 8])
 def test_chol_logdet_at_the_leaf_is_cholesky_and_tril_inv(d):
-    # d <= CHOL_LEAF: one LAPACK call and tril_inv, bit for bit
+    # d <= CHOL_LEAF: one LAPACK Cholesky and np.tril(np.linalg.inv(L)), bit for bit
+    assert d <= CHOL_LEAF
     S = _spd_stack(d, 4)
-    before = S.copy()
-    f = chol_logdet(S)
     L = np.linalg.cholesky(S)
-    assert np.array_equal(S, before)
-    assert np.array_equal(f.inv_factor, tril_inv(L))
+    f = chol_logdet(S)
+    assert np.array_equal(f.inv_factor, np.tril(np.linalg.inv(L)))
     assert np.array_equal(f.logdet, 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1))
 
 
@@ -328,12 +340,10 @@ def test_chol_logdet_recursion_reports_the_failing_pivot(pivot, singular):
         S[1, -1, :] = S[1, :, -1] = 0.0
     else:
         S[1, pivot, pivot] = -1.0
-    before = S.copy()
     with pytest.raises(FactorizationError, match=re.escape("index (1,)")) as exc:
-        chol_logdet(S)
+        chol_logdet(S.copy())
     assert exc.value.pivot == pivot
-    assert np.array_equal(S, before)
-    with pytest.raises(FactorizationError) as exc:
+    with pytest.raises(FactorizationError, match=re.escape(f"pivot {pivot}")) as exc:
         chol_logdet(S[1])
     assert exc.value.pivot == pivot
 

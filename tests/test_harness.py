@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -330,6 +331,32 @@ def test_kernel_stacks_follow_the_factorization_block(monkeypatch):
     sizes.clear()
     run_sweep(ExperimentConfig(**base, rho_db=(0.0, 10.0, 20.0), dither_dbm=(2.0,)))
     assert sizes == [(1,)] * 2
+
+
+def test_a_channel_holds_one_table_at_a_time(monkeypatch):
+    # the previous table and its factor stack are released before the next
+    # build starts: in an SNR grid, a table per point, and in a dither grid of
+    # one stack per point (16-QAM, K = 1, M = 2: 64 entries per point)
+    from onebitlink import detect, harness
+
+    build = harness.build_candidate_table
+    built, live = [], []
+
+    def recording(kernels, rho):
+        live.append(sum(ref() is not None for ref in built))
+        table = build(kernels, rho)
+        built.extend((weakref.ref(table), weakref.ref(table.inv_chol)))
+        return table
+
+    monkeypatch.setattr(harness, "build_candidate_table", recording)
+    monkeypatch.setattr(detect, "BLOCK_ENTRIES", 64)
+    base = dict(n_tx=8, n_rx=2, n_channels=2, n_symbol_vectors=10, detectors=("ml", "blmmse"))
+    for grid in (dict(rho_db=(0.0, 10.0, 20.0), dither_dbm=(2.0,)),
+                 dict(rho_db=(5.0,), dither_dbm=(-10.0, 0.0, 10.0))):
+        built.clear()
+        live.clear()
+        run_sweep(ExperimentConfig(**base, **grid))
+        assert live == [0] * 6
 
 
 def test_factorization_error_names_the_channel_and_grid_point(monkeypatch):
