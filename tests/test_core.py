@@ -283,8 +283,22 @@ def _spd_stack(d, key):
     return (A @ A.transpose(0, 2, 1) / d + 0.5 * np.eye(d)) * scale[:, :, None] * scale[:, None, :]
 
 
+@pytest.mark.parametrize("d", [1, 5, 8, 9, 37])
+def test_tril_inv_inverts_a_stack_of_factors(d):
+    # the triangular inverse of each factor, which the leaves take with
+    # np.tril(np.linalg.inv(L)) and the recursion assembles from them
+    rng = substream(6, 2)
+    A = rng.standard_normal((4, d, d))
+    S = A @ A.transpose(0, 2, 1) + d * np.eye(d)
+    L = np.linalg.cholesky(S)
+    Li = chol_logdet(S.copy()).inv_factor
+    assert Li.shape == L.shape
+    assert_allclose(Li @ L, np.broadcast_to(np.eye(d), L.shape), atol=1e-13)
+    assert_allclose(Li, np.linalg.inv(L), rtol=1e-12, atol=1e-14)
+
+
 @pytest.mark.parametrize("d", [3, 8, 9, 12])
-def test_chol_logdet_has_exact_zeros_above_the_diagonal(d):
+def test_tril_inv_has_exact_zeros_above_the_diagonal(d):
     # factors whose entries below the diagonal outweigh the diagonal ones, so
     # the LU solves of np.linalg.inv at the leaves pivot; their rounding above
     # the diagonal must not survive, at a leaf (d <= CHOL_LEAF) or through it
