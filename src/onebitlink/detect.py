@@ -68,9 +68,11 @@ class CandidateTable:
 
     A table built from kernels stacked over P dither points (see
     `build_candidate_kernels`) has a leading axis of P points on the
-    per-orbit fields mu, inv_chol, logdet and weight, and detection reads
-    one point's table from it with `point`. The per-position fields and the
-    eigenbasis are shared by every point.
+    per-orbit fields mu, inv_chol, logdet and weight; the per-position
+    fields and the eigenbasis are shared by every point. `ml_detect_batch`
+    detects P n received rows on it, rows p n ... (p + 1) n - 1 against
+    point p, and `points` takes a range of the points as a table of its own.
+    An unstacked table is the one-point case.
     """
 
     indices: np.ndarray   # (L^K, K) per-stream constellation indices
@@ -86,10 +88,16 @@ class CandidateTable:
     def n_candidates(self) -> int:
         return self.indices.shape[0]
 
-    def point(self, p: int) -> CandidateTable:
-        """Point p of a stacked table, as a table whose per-orbit fields are views."""
-        return replace(self, mu=self.mu[p], inv_chol=self.inv_chol[p],
-                       logdet=self.logdet[p], weight=self.weight[p])
+    @property
+    def n_points(self) -> int:
+        """Dither points held: the leading axis of a stacked table, else 1."""
+        return self.mu.shape[0] if self.mu.ndim == 3 else 1
+
+    def points(self, lo: int, hi: int) -> CandidateTable:
+        """Points lo ... hi - 1 of a stacked table, as a stacked table whose
+        per-orbit fields are views."""
+        return replace(self, mu=self.mu[lo:hi], inv_chol=self.inv_chol[lo:hi],
+                       logdet=self.logdet[lo:hi], weight=self.weight[lo:hi])
 
 
 def enumerate_candidates(constellation: Constellation,
@@ -204,6 +212,15 @@ def points_per_table(constellation: Constellation, n_streams: int, n_rx: int) ->
     return max(1, BLOCK_ENTRIES // (n_rep * (2 * n_rx) ** 2))
 
 
+def points_per_call(n_vectors: int, n_rx: int) -> int:
+    """Dither points, of n_vectors received rows each, that one `ml_detect_batch` call takes.
+
+    As many as keep the call's turned rows, 4 x points x n_vectors x 2 n_rx
+    entries, within BLOCK_ENTRIES, and at least one.
+    """
+    return max(1, BLOCK_ENTRIES // (8 * n_vectors * n_rx))
+
+
 def build_candidate_table(kernels: CandidateKernels, rho: float) -> CandidateTable:
     """Cached detector statistics at transmit SNR rho from `build_candidate_kernels`.
 
@@ -267,31 +284,38 @@ def _score_pairs(Yt: np.ndarray, table: CandidateTable, rows: np.ndarray,
                  cands: np.ndarray) -> np.ndarray:
     """Exact objective of candidate cands[i] for received row rows[i].
 
-    The pairs may mix orbits. Their residuals Q^{-k} y' - mu_r are gathered
-    once, in orbit order (stable, so each orbit keeps the given order of its
-    pairs); each orbit's contiguous slice then gets one product with its
-    representative's factor, so a pair's score depends only on the rows its
-    orbit shares the product with. The squared norm pairs each antenna's Re
-    and Im terms, so a quarter turn of the residual only reorders additions
-    that commute, and tied members of an orbit round identically.
+    The pairs may mix orbits and, on a table of P points, points: row r is
+    detected against point r // n, with n = Yt.shape[1] / P rows per point.
+    Their residuals Q^{-k} y' - mu_r are gathered once, in (point, orbit)
+    order (stable, so each keeps the given order of its pairs); each
+    (point, orbit) slice then gets one product with its representative's
+    factor, so a pair's score depends only on the rows its point and orbit
+    share the product with, and no product mixes two points. The squared
+    norm pairs each antenna's Re and Im terms, so a quarter turn of the
+    residual only reorders additions that commute, and tied members of an
+    orbit round identically.
     """
-    orbit = table.orbit[cands]
-    order = np.argsort(orbit, kind="stable")
-    orbit, cands = orbit[order], cands[order]
-    u = Yt[table.turns[cands], rows[order]] - table.mu[orbit]
-    starts = _run_starts(orbit)
-    for lo, hi in zip(starts, [*starts[1:], orbit.size]):
-        u[lo:hi] = u[lo:hi] @ table.inv_chol[orbit[lo]].T
-    m = u.shape[1] // 2
+    dim = table.mu.shape[-1]
+    key = table.orbit[cands] + rows // (Yt.shape[1] // table.n_points) * table.mu.shape[-2]
+    order = np.argsort(key, kind="stable")
+    key, cands = key[order], cands[order]
+    # per-orbit fields flattened over (point, orbit): views
+    inv_chol = table.inv_chol.reshape(-1, dim, dim)
+    u = Yt[table.turns[cands], rows[order]] - table.mu.reshape(-1, dim)[key]
+    starts = _run_starts(key)
+    for lo, hi in zip(starts, [*starts[1:], key.size]):
+        u[lo:hi] = u[lo:hi] @ inv_chol[key[lo]].T
+    m = dim // 2
     np.square(u, out=u)
     u[:, :m] += u[:, m:]
-    score = np.empty(orbit.size)
-    score[order] = u[:, :m].sum(axis=1) + table.logdet[orbit]
+    score = np.empty(key.size)
+    score[order] = u[:, :m].sum(axis=1) + table.logdet.reshape(-1)[key]
     return score
 
 
 def ml_detect_exhaustive(Y: np.ndarray, table: CandidateTable):
-    """Reference ML: score every candidate exactly (see ml_detect_batch)."""
+    """Reference ML: score every candidate exactly (see ml_detect_batch; a table of
+    P points takes P n rows in point order)."""
     Yt = _turned_rows(Y, table)
     n = Yt.shape[1]
     rows = np.arange(n)
@@ -314,17 +338,20 @@ def _bound_terms(Yp: np.ndarray, table: CandidateTable):
     b_c = logdet_c - s (1 + |logdet_c|) + sum(w_c m_c^2) - 4s ||m_c||^2.
     The one expansion of the per-orbit statistics to table positions:
     mu_c = Q^turns mu_r (exact), and logdet_c and w_c are the representative's.
+    On a stacked table of P points it runs over all of them at once, and
+    coef gets a leading axis of P: a row of point p is bounded by coef[p].
     """
     s = BOUND_SLACK
     orbit = table.orbit
     z = Yp @ table.eigvecs
-    m = np.stack([_turn(table.mu, k) for k in range(4)])[table.turns, orbit] @ table.eigvecs
-    logdet, w = table.logdet[orbit], table.weight[orbit]
+    turned = np.stack([_turn(table.mu, k) for k in range(4)], axis=-3)
+    m = turned[..., table.turns, orbit, :] @ table.eigvecs
+    logdet, w = table.logdet[..., orbit], table.weight[..., orbit, :]
     wm = w * m
     b = (logdet - s * (1.0 + np.abs(logdet))
-         + np.einsum("ij,ij->i", wm, m) - 4.0 * s * np.einsum("ij,ij->i", m, m))
+         + np.einsum("...ij,...ij->...i", wm, m) - 4.0 * s * np.einsum("...ij,...ij->...i", m, m))
     terms = np.concatenate([z * z, z, np.ones((z.shape[0], 1))], axis=1)
-    coef = np.concatenate([w - 4.0 * s, -2.0 * wm, b[:, None]], axis=1).T
+    coef = np.concatenate([w - 4.0 * s, -2.0 * wm, b[..., None]], axis=-1).swapaxes(-1, -2)
     return terms, coef
 
 
@@ -371,9 +398,12 @@ def _score_best_first(Yt, table, flat, bound, best_score, best) -> None:
 def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
     """ML decisions for a batch of received vectors, by a best-first pruned search.
 
-    Y has shape (n, M) complex. Returns (indices (n, K), scores (n,)). Each
-    score is the Gaussian objective (y'-mu)^T Sigma^{-1} (y'-mu) + logdet
-    Sigma of the winning candidate; ties go to the lowest table position.
+    Y has shape (P n, M) complex for a table of P points (1 unless the
+    table is stacked, see `CandidateTable`): rows p n ... (p + 1) n - 1 are
+    detected against point p, so one call serves a run of dither points.
+    Returns (indices (P n, K), scores (P n,)). Each score is the Gaussian
+    objective (y'-mu)^T Sigma^{-1} (y'-mu) + logdet Sigma of the winning
+    candidate; ties go to the lowest table position.
 
     Sigma_c = I/2 + rho He D_c He^T with D_c <= dmax_c I, so Sigma_c <=
     V diag(1/w_c) V^T (see `CandidateTable`) and every candidate's objective
@@ -384,18 +414,20 @@ def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
         logdet_c - s (1 + |logdet_c|)
             + sum_i w_ci (z_i - m_ci)^2 - 4 s (||z||^2 + ||m_c||^2)
 
-    with s = BOUND_SLACK, expanded so that one GEMM per block of vectors
-    gives it (`_bound_terms`). Since w_ci <= 2, each term of the expansion
-    is at most 4 (||z||^2 + ||m_c||^2) in size, so the slack covers its
-    rounding, that of the eigenbasis and that of the exact scores: every
-    bound lies below its candidate's exact score, and the winner is never
-    ruled out. The vectors go in blocks of BLOCK_ENTRIES bound entries. In
-    each block, every vector's lowest-bound candidate is scored exactly and
-    becomes its best; every other candidate whose bound does not exceed that
-    score survives, and is held with its bound, across blocks up to
-    SURVIVOR_CAP pairs. At the flush each vector's survivors are scored in
-    ascending bound, one per vector per round (`_score_best_first`), and a
-    vector stops once its next bound exceeds its best score. Exact scores
+    with s = BOUND_SLACK, expanded so that one GEMM per block of vectors and
+    point gives it (`_bound_terms`). Since w_ci <= 2, each term of the
+    expansion is at most 4 (||z||^2 + ||m_c||^2) in size, so the slack
+    covers its rounding, that of the eigenbasis and that of the exact
+    scores: every bound lies below its candidate's exact score, and the
+    winner is never ruled out. The vectors go in blocks of BLOCK_ENTRIES
+    bound entries, whose bound GEMM is split where the block crosses from
+    one point to the next. In each block, every vector's lowest-bound
+    candidate is scored exactly and becomes its best; every other candidate
+    whose bound does not exceed that score survives, and is held with its
+    bound, across blocks up to SURVIVOR_CAP pairs. At the flush each
+    vector's survivors are scored in ascending bound, one per vector per
+    round (`_score_best_first`), and a vector stops once its next bound
+    exceeds its best score. Exact scores
     come from `_score_pairs`, the arithmetic of `ml_detect_exhaustive`, and
     the best is the lowest score, then the lowest position, so the decision
     is the exhaustive one. Scores can differ from the exhaustive ones by
@@ -403,17 +435,26 @@ def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
     round like one over all of them.
     """
     Yt = _turned_rows(Y, table)
-    n, n_cand = Yt.shape[1], table.n_candidates
+    n_rows, n_cand, n_points = Yt.shape[1], table.n_candidates, table.n_points
+    if n_rows % n_points:
+        raise ParameterError(f"{n_rows} received rows do not split evenly over "
+                             f"{n_points} points")
+    n = n_rows // n_points
     terms, coef = _bound_terms(Yt[0], table)
+    if coef.ndim == 2:
+        coef = coef[None]
 
     step = max(1, BLOCK_ENTRIES // n_cand)
-    best_score = np.full(n, np.inf)
-    best = np.zeros(n, dtype=np.int64)
+    best_score = np.full(n_rows, np.inf)
+    best = np.zeros(n_rows, dtype=np.int64)
     held, n_held = [], 0
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
         rows = np.arange(lo, hi)
-        bound = terms[lo:hi] @ coef
+        bound = np.empty((hi - lo, n_cand))
+        for p in range(lo // n, (hi - 1) // n + 1):
+            a, b = max(lo, p * n), min(hi, (p + 1) * n)
+            np.matmul(terms[a:b], coef[p], out=bound[a - lo:b - lo])
         first = np.argmin(bound, axis=1)
         _take_better(best_score, best, rows, first,
                      _score_pairs(Yt, table, rows, first))
@@ -422,7 +463,7 @@ def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
         flat = np.flatnonzero(keep)
         held.append((flat + lo * n_cand, bound.ravel()[flat]))
         n_held += flat.size
-        if hi < n and n_held < SURVIVOR_CAP:
+        if hi < n_rows and n_held < SURVIVOR_CAP:
             continue
         flat, bound = (np.concatenate(part) for part in zip(*held))
         held, n_held = [], 0
@@ -437,13 +478,15 @@ def ml_detect_batch(Y: np.ndarray, table: CandidateTable):
 def blmmse_combiner(H, W, B, C_xq, rho: float) -> np.ndarray:
     """Linear combiner sqrt(rho) C_y^{-1} H B W for the linearized chain.
 
-    B is the equivalent quantizer gain and C_xq the unconditional quantizer
-    output covariance (both for the Gaussian-symbol model); the soft symbol
-    estimate is V^H y.
+    B is the equivalent quantizer gain, a diagonal matrix, and C_xq the
+    unconditional quantizer output covariance (both for the Gaussian-symbol
+    model); the soft symbol estimate is V^H y. H B is formed as H times B's
+    diagonal, column by column: the same bits as the matrix product, whose
+    other terms are exact zeros.
     """
     H = np.asarray(H)
     C_y = cov_y_unconditional(H, C_xq, rho)
-    return np.sqrt(rho) * np.linalg.solve(C_y, H @ np.asarray(B) @ np.asarray(W))
+    return np.sqrt(rho) * np.linalg.solve(C_y, (H * np.diag(B)) @ np.asarray(W))
 
 
 def slice_min_distance_batch(S_soft: np.ndarray, constellation: Constellation):

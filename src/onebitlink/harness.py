@@ -9,10 +9,13 @@ reproducible for any worker count.
 
 The ML candidate tables of a dither grid are built in groups: consecutive
 dither powers, as many as `detect.points_per_table` fits in one factorization
-block, share one stacked kernel build and one stacked table per channel. A
-row's `seconds` is the wall time its detector spent on the row's grid point,
-summed over channels; a group's ML builds are charged to the group's first
-point, so its other points carry their detection alone.
+block, share one stacked kernel build and one stacked table per channel. The
+group's points are detected in stacked `ml_detect_batch` calls, each holding
+the received rows of as many consecutive points as `detect.points_per_call`
+keeps within one block, in grid order. A row's `seconds` is the wall time its
+detector spent on the row's grid point, summed over channels; an ML call's
+seconds, with the builds it makes, are charged to the call's first point, so
+its other points carry none.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .channel import ChannelParams, draw_channel, make_precoder
 from .core import (FactorizationError, ParameterError, complex_normal, make_constellation,
                    quantize_1bit, substream)
 from .detect import (MAX_TABLE, build_candidate_kernels, build_candidate_table,
-                     ml_detect_batch, points_per_table, slice_min_distance_batch,
-                     blmmse_combiner)
+                     ml_detect_batch, points_per_call, points_per_table,
+                     slice_min_distance_batch, blmmse_combiner)
 from .stats import receive_basis
 from .txchain import bussgang_gain, cov_xd, cov_xq_unconditional
 
@@ -183,63 +186,95 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
     if "guess" in cfg.detectors:
         guess_digits = substream(cfg.seed, channel_index, GUESS).integers(0, const.size, size=(nv, k))
 
-    # What depends on the dither power alone lives while that power is in use:
-    # the rows are quantized, and the BLMMSE pieces built at the first blmmse
-    # point, once per run of equal sigma2. The ML kernels of consecutive runs
-    # are built as one stack, a group of as many runs as `points_per_table`
-    # fits in one factorization block, and in a dither grid (one rho) so is
-    # their table; an SNR grid has one run, and factors its stack at every
-    # point. A group's builds, and the channel's receive basis, happen at the
-    # group's first ml point, which is charged their build time; its other
-    # points carry only their own detection. The previous table is released
-    # before the next build starts, so a channel holds one table at a time,
-    # and the transmit draws X and U once the last run's rows are quantized:
-    # an SNR grid holds them only until its first point.
+    # Detection goes in ML calls. In a dither grid (one rho) a run of equal
+    # sigma2 has one set of received rows, and the ML kernels of consecutive
+    # runs are built as one stack with one table, a group of as many runs as
+    # `points_per_table` fits in one factorization block. The group's runs go
+    # to `ml_detect_batch` in calls of as many as `points_per_call` keeps
+    # within one block: a call holds each run's rows, in grid order, and
+    # detects them against the run's point of the table. An SNR grid is one
+    # run, whose kernels are built once, with a call and a table per point.
+    # A call's ML seconds, its detection and the builds it makes (the
+    # group's kernels and table, and the channel's receive basis, at the
+    # group's first call) are charged to its first point; its other points
+    # carry none. Each run's rows are quantized at its first point; in a
+    # dither grid its Y is formed at once and Xq dropped, and X and U go once
+    # the last run is quantized (an SNR grid: at its first point). The
+    # BLMMSE pieces are built at a run's first blmmse point and live while
+    # the run is in use. The previous table is released before the next
+    # build starts, so a channel holds one table at a time.
     axis, points = cfg.sweep_points()
     starts = [i for i, (_, s2, _) in enumerate(points) if i == 0 or s2 != points[i - 1][1]]
-    per_table = points_per_table(const, k, cfg.n_rx) if "ml" in cfg.detectors else 1
+    ml = "ml" in cfg.detectors
+    per_table = points_per_table(const, k, cfg.n_rx) if ml else 1
+    # (group's first run, call's first point in the group's table, its runs)
+    if axis == "dither_dbm":
+        runs = [range(a, b) for a, b in zip(starts, starts[1:] + [len(points)])]
+        per_call = min(per_table, points_per_call(nv, cfg.n_rx))
+        calls = [(g, c - g, runs[c:min(c + per_call, g + per_table)])
+                 for g in range(0, len(runs), per_table)
+                 for c in range(g, min(g + per_table, len(runs)), per_call)]
+    else:
+        calls = [(0, 0, [range(idx, idx + 1)]) for idx in range(len(points))]
     out = {}
     run = -1
-    basis = kernels = None
-    for idx, (_, sigma2, rho) in enumerate(points):
-        if run + 1 < len(starts) and starts[run + 1] == idx:
-            run += 1
-            Xq = quantize_1bit(X + np.sqrt(sigma2) * U, eta)
-            if run == len(starts) - 1:
-                X = U = None
-            combiner = None
-            if run % per_table == 0:
-                kernels = None
-        Y = np.sqrt(rho) * Xq @ H.T + Z
-        for det in cfg.detectors:
-            t0 = time.perf_counter()
-            if det == "ml":
-                if kernels is None or axis == "rho_db":
-                    table = None
-                    lo = run - run % per_table
-                    try:
-                        if kernels is None:
-                            if basis is None:
-                                basis = receive_basis(H)
-                            group = np.array([points[i][1] for i in starts[lo:lo + per_table]])
-                            kernels = build_candidate_kernels(basis, W, const, group, eta)
-                        table = build_candidate_table(kernels, rho)
-                    except FactorizationError as exc:
-                        failed = starts[lo + exc.index[0]] if axis == "dither_dbm" else idx
-                        raise FactorizationError(
-                            f"channel {channel_index}, {_grid_point(cfg, failed)}: {exc}",
-                            pivot=exc.pivot, index=exc.index) from None
-                decided = ml_detect_batch(Y, table.point(run % per_table))[0]
-            elif det == "blmmse":
-                if combiner is None:
-                    C_xd = cov_xd(W, sigma2)
-                    combiner = bussgang_gain(C_xd, eta), cov_xq_unconditional(C_xd, eta)
-                V = blmmse_combiner(H, W, *combiner, rho)
-                decided = slice_min_distance_batch(Y @ V.conj(), const)[0]
-            else:
-                decided = guess_digits
-            errors = int(np.sum(decided != true_digits))
-            out[(idx, det)] = (errors, time.perf_counter() - t0)
+    basis = kernels = table = None
+    for lo, at, call in calls:
+        Ys = []
+        for points_of_y in call:
+            _, sigma2, rho = points[points_of_y[0]]
+            if run + 1 < len(starts) and starts[run + 1] == points_of_y[0]:
+                run += 1
+                Xq = quantize_1bit(X + np.sqrt(sigma2) * U, eta)
+                if run == len(starts) - 1:
+                    X = U = None
+                combiner = None
+                if run % per_table == 0:
+                    kernels = None
+            Y = np.sqrt(rho) * Xq @ H.T + Z
+            if axis == "dither_dbm":
+                Xq = None
+            Ys.append(Y)
+            for idx in points_of_y:
+                for det in cfg.detectors:
+                    t0 = time.perf_counter()
+                    if det == "blmmse":
+                        if combiner is None:
+                            C_xd = cov_xd(W, sigma2)
+                            combiner = bussgang_gain(C_xd, eta), cov_xq_unconditional(C_xd, eta)
+                        V = blmmse_combiner(H, W, *combiner, rho)
+                        decided = slice_min_distance_batch(Y @ V.conj(), const)[0]
+                    elif det == "guess":
+                        decided = guess_digits
+                    else:
+                        continue
+                    errors = int(np.sum(decided != true_digits))
+                    out[(idx, det)] = (errors, time.perf_counter() - t0)
+        if not ml:
+            continue
+        t0 = time.perf_counter()
+        if kernels is None or axis == "rho_db":
+            table = None
+            try:
+                if kernels is None:
+                    if basis is None:
+                        basis = receive_basis(H)
+                    group = np.array([points[i][1] for i in starts[lo:lo + per_table]])
+                    kernels = build_candidate_kernels(basis, W, const, group, eta)
+                table = build_candidate_table(kernels, rho)
+            except FactorizationError as exc:
+                failed = starts[lo + exc.index[0]] if axis == "dither_dbm" else call[0][0]
+                raise FactorizationError(
+                    f"channel {channel_index}, {_grid_point(cfg, failed)}: {exc}",
+                    pivot=exc.pivot, index=exc.index) from None
+        Y = Ys[0] if len(Ys) == 1 else np.concatenate(Ys)
+        Ys = None
+        decided = ml_detect_batch(Y, table.points(at, at + len(call)))[0]
+        errors = [int(np.sum(d != true_digits)) for d in np.split(decided, len(call))]
+        seconds = time.perf_counter() - t0
+        for points_of_y, e in zip(call, errors):
+            for idx in points_of_y:
+                out[(idx, "ml")] = (e, seconds if idx == call[0][0] else 0.0)
     return out
 
 

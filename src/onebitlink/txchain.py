@@ -19,11 +19,18 @@ _CLAMP = 1.0 - 1e-15
 
 
 def cov_xd(W: np.ndarray, sigma2: float) -> np.ndarray:
-    """Covariance of the dithered signal for unit-power Gaussian symbols."""
+    """Covariance of the dithered signal for unit-power Gaussian symbols.
+
+    W W^H + sigma2 I, with sigma2 added to the diagonal of the product in
+    place: the same bits as the textbook sum, without an identity-sized
+    temporary.
+    """
     W = np.asarray(W)
     if sigma2 < 0:
         raise ParameterError("dither variance must be non-negative")
-    return W @ W.conj().T + sigma2 * np.eye(W.shape[0])
+    C = W @ W.conj().T
+    C.reshape(-1)[::C.shape[0] + 1] += sigma2
+    return C
 
 
 def bussgang_gain(C_xd: np.ndarray, eta: float) -> np.ndarray:
@@ -48,16 +55,23 @@ def cov_xq_unconditional(C_xd: np.ndarray, eta: float) -> np.ndarray:
     (2*eta/pi) * (asin(Re R) + 1j*asin(Im R)); correlations are clamped to
     [-1+1e-15, 1-1e-15] so roundoff cannot push asin out of domain. The
     diagonal is set to exactly eta.
+
+    The output is built in place in one complex buffer: its interleaved
+    [Re, Im] real view is scaled, clipped, passed through asin and scaled
+    again, which gives the same bits as the textbook complex expression
+    without its real- and complex-sized temporaries.
     """
     C_xd = np.asarray(C_xd)
     dvar = np.diag(C_xd).real
     if np.any(dvar <= 0):
         raise SingularityError("zero-variance antenna has no defined correlation")
     dinv = 1.0 / np.sqrt(dvar)
-    R = C_xd * np.outer(dinv, dinv)
-    re = np.clip(R.real, -_CLAMP, _CLAMP)
-    im = np.clip(R.imag, -_CLAMP, _CLAMP)
-    C = (2.0 * eta / np.pi) * (np.arcsin(re) + 1j * np.arcsin(im))
+    C = np.array(C_xd, dtype=np.complex128, order="C")
+    R = C.view(np.float64)  # (N, 2N): [Re, Im] of each entry side by side
+    R *= np.outer(dinv, np.repeat(dinv, 2))
+    np.clip(R, -_CLAMP, _CLAMP, out=R)
+    np.arcsin(R, out=R)
+    R *= 2.0 * eta / np.pi
     np.fill_diagonal(C, eta)
     return C
 

@@ -314,10 +314,11 @@ def test_stacked_points_equal_the_per_point_builds(monkeypatch, const, k, n, m, 
     assert stacked.n_candidates == constellation.size ** k
     Y = rng.standard_normal((50, m)) + 1j * rng.standard_normal((50, m))
     for p, want in enumerate(per_point):
-        got = stacked.point(p)
+        got = stacked.points(p, p + 1)
+        assert got.n_points == 1
         for name in ("mu", "inv_chol", "logdet", "weight"):
             field = getattr(got, name)
-            assert np.array_equal(field, getattr(want, name)), name
+            assert np.array_equal(field[0], getattr(want, name)), name
             assert field.base is not None and np.shares_memory(field, getattr(stacked, name))
         for name in ("indices", "orbit", "turns", "eigvecs"):
             assert getattr(got, name) is getattr(stacked, name)
@@ -522,6 +523,77 @@ def test_pruned_ml_across_blocks_and_flushes(monkeypatch, rho, seed):
     assert_allclose(got_score, want_score, rtol=1e-12)
     idx, score = ml_detect_batch(Y[:0], table)
     assert idx.shape == (0, 2) and score.shape == (0,)
+
+
+@pytest.mark.parametrize("rho", [0.0, 3.0, 1e4])
+@pytest.mark.parametrize("layout", ["one block", "blocks and flushes", "duplicate positions"])
+def test_stacked_detection_equals_per_point_calls(monkeypatch, rho, layout):
+    # 5 x 20 rows on a table of the 5 GRID points, in point order, against
+    # each point's rows detected on its own table, by the pruned search and
+    # the exhaustive scan. GRID revisits its first variance, so points 0 and
+    # 4 share statistics. "one block": one bound block and one flush span
+    # every point. "blocks and flushes": 7-row blocks put block boundaries
+    # inside points and blocks across two points, and a 150-pair survivor
+    # buffer is scored in flushes that span points. "duplicate positions":
+    # every candidate at two or more shuffled table positions. At rho 0 every
+    # candidate of a point ties, and the lowest position wins.
+    H, W, rng = _system(31, n=6, m=3, k=2)
+    const, eta, nv = qam16(), 1.0 / 6, 20
+    kernels = build_candidate_kernels(receive_basis(H), W, const, GRID, eta)
+    stacked = build_candidate_table(kernels, rho)
+    per_point = [_table(H, W, const, s2, eta, rho) for s2 in GRID]
+    if layout == "duplicate positions":
+        n_cand = stacked.n_candidates
+        pos = rng.permutation(np.r_[np.arange(n_cand), rng.integers(0, n_cand, n_cand)])
+        stacked = dataclasses.replace(stacked, **_fields(stacked, pos))
+        per_point = [dataclasses.replace(t, **_fields(t, pos)) for t in per_point]
+    Y = []
+    for s2 in GRID:
+        S = const.points[stacked.indices[rng.integers(0, stacked.n_candidates, nv)]]
+        D = (rng.standard_normal((nv, 6)) + 1j * rng.standard_normal((nv, 6))) * np.sqrt(s2 / 2)
+        Z = (rng.standard_normal((nv, 3)) + 1j * rng.standard_normal((nv, 3))) / np.sqrt(2)
+        Y.append(np.sqrt(rho) * quantize_1bit(S @ W.T + D, eta) @ H.T + Z)
+    if layout == "blocks and flushes":
+        monkeypatch.setattr(detect, "BLOCK_ENTRIES", 7 * stacked.n_candidates)
+        monkeypatch.setattr(detect, "SURVIVOR_CAP", 150)
+    got, got_score = ml_detect_batch(np.concatenate(Y), stacked)
+    assert got.shape == (GRID.size * nv, 2)
+    for p, (y, table) in enumerate(zip(Y, per_point)):
+        rows = slice(p * nv, (p + 1) * nv)
+        alone, _ = ml_detect_batch(y, table)
+        want, want_score = ml_detect_exhaustive(y, table)
+        assert np.array_equal(got[rows], alone)
+        assert np.array_equal(got[rows], want)
+        assert_allclose(got_score[rows], want_score, rtol=1e-12)
+    # the exhaustive scan reads a stacked table the same way
+    want, want_score = ml_detect_exhaustive(np.concatenate(Y), stacked)
+    assert np.array_equal(got, want)
+    assert_allclose(got_score, want_score, rtol=1e-12)
+    if rho == 0.0:
+        assert np.all(got == stacked.indices[0])
+
+
+def test_stacked_detection_needs_whole_points():
+    H, W, rng = _system(32, n=6, m=3, k=1)
+    kernels = build_candidate_kernels(receive_basis(H), W, qam16(), GRID[:3], 1.0 / 6)
+    table = build_candidate_table(kernels, 3.0)
+    Y = rng.standard_normal((31, 3)) + 1j * rng.standard_normal((31, 3))
+    with pytest.raises(ParameterError, match="31 received rows do not split evenly over 3"):
+        ml_detect_batch(Y, table)
+    idx, score = ml_detect_batch(Y[:0], table)
+    assert idx.shape == (0, 1) and score.shape == (0,)
+    assert table.points(1, 3).n_points == 2
+    assert np.array_equal(ml_detect_batch(Y[:20], table.points(1, 3))[0],
+                          ml_detect_exhaustive(Y[:20], table.points(1, 3))[0])
+
+
+def test_points_per_call_keeps_the_turned_rows_within_one_block():
+    # 4 turns x rows x 2M entries against BLOCK_ENTRIES = 2^19: 4,096 rows at M = 16
+    assert detect.points_per_call(100, 16) == 40
+    assert detect.points_per_call(2000, 16) == 2
+    assert detect.points_per_call(2048, 16) == 2
+    assert detect.points_per_call(2049, 16) == 1
+    assert detect.points_per_call(10 ** 6, 64) == 1
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)

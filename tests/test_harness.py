@@ -267,6 +267,52 @@ def test_seconds_include_the_per_dither_builds(monkeypatch):
     assert [r.seconds for pt in split for r in pt] == pytest.approx(
         [2 * delay, 2 * delay, 0.0, 2 * delay, 2 * delay, 2 * delay], abs=1e-12)
     assert [[r.errors for r in pt] for pt in split] == [[r.errors for r in pt] for pt in grid]
+    # a delayed ml_detect_batch: each call's detection is charged to the
+    # call's first point. At this block size no two points' rows fit one
+    # call (4 turns x 10 rows x 4 entries each), so each point makes its own.
+    monkeypatch.setattr(harness, "ml_detect_batch", slow(harness.ml_detect_batch))
+    split = points(rho_db=(5.0,), dither_dbm=(0.0, 10.0, 0.0))
+    assert [r.seconds for pt in split for r in pt] == pytest.approx(
+        [4 * delay, 2 * delay, 2 * delay, 2 * delay, 4 * delay, 2 * delay], abs=1e-12)
+    # at the full block size the three points make one call per channel
+    monkeypatch.setattr(detect, "BLOCK_ENTRIES", 2 ** 19)
+    grid = points(rho_db=(5.0,), dither_dbm=(0.0, 10.0, 0.0))
+    assert [r.seconds for pt in grid for r in pt] == pytest.approx(
+        [4 * delay, 2 * delay, 0.0, 2 * delay, 0.0, 2 * delay], abs=1e-12)
+    # an SNR grid calls once per point
+    first, second = points(rho_db=(0.0, 10.0), dither_dbm=(2.0,))
+    assert [r.seconds for r in first + second] == pytest.approx(
+        [4 * delay, 2 * delay, 2 * delay, 0.0], abs=1e-12)
+
+
+def test_a_dither_group_is_detected_in_calls_of_at_most_a_block(monkeypatch):
+    # M = 16, K = 1: one table holds all 8 points of the dither_k1 shape, and
+    # one ml_detect_batch call takes their rows while its turned rows, 4 x
+    # rows x 32 entries, fit the 2^19-entry block (4,096 rows): 8 points of
+    # 100 vectors make one call, of 2,000 vectors calls of two points, and of
+    # 2,049 one call per point. The errors equal those of one call per point.
+    from onebitlink import harness
+
+    calls = []
+    detect_batch = harness.ml_detect_batch
+
+    def recording(Y, table):
+        calls.append((Y.shape[0], table.n_points))
+        return detect_batch(Y, table)
+
+    monkeypatch.setattr(harness, "ml_detect_batch", recording)
+    grid = dict(n_tx=16, n_rx=16, rho_db=(5.0,), dither_dbm=tuple(np.linspace(-10.0, 30.0, 8)),
+                n_channels=1, detectors=("ml",))
+    for nv, want in ((100, [(800, 8)]), (2000, [(4000, 2)] * 4), (2049, [(2049, 1)] * 8)):
+        cfg = ExperimentConfig(n_symbol_vectors=nv, **grid)
+        calls.clear()
+        stacked = [r.errors for r in run_sweep(cfg).rows]
+        assert calls == want
+        with monkeypatch.context() as m:
+            m.setattr(harness, "points_per_call", lambda n_vectors, n_rx: 1)
+            calls.clear()
+            assert [r.errors for r in run_sweep(cfg).rows] == stacked
+            assert calls == [(nv, 1)] * 8
 
 
 def test_receive_basis_built_once_per_channel(monkeypatch):

@@ -162,3 +162,82 @@ def test_transmit_zero_symbol_gives_unbiased_signs():
     _, Xq = _chain(W, np.zeros((draws, 1), dtype=complex), 0.5, 1.0 / n, substream(10, 0))
     freq = (Xq.real > 0).mean(axis=0)
     assert np.all(np.abs(freq - 0.5) < 4 * 0.5 / np.sqrt(draws))
+
+
+# The textbook forms of the BLMMSE pieces, as they read before they were built
+# in place: the library must give the same bits.
+def _cov_xd_textbook(W, sigma2):
+    return W @ W.conj().T + sigma2 * np.eye(W.shape[0])
+
+
+def _cov_xq_textbook(C_xd, eta):
+    dvar = np.diag(C_xd).real
+    dinv = 1.0 / np.sqrt(dvar)
+    R = C_xd * np.outer(dinv, dinv)
+    clamp = 1.0 - 1e-15
+    re = np.clip(R.real, -clamp, clamp)
+    im = np.clip(R.imag, -clamp, clamp)
+    C = (2.0 * eta / np.pi) * (np.arcsin(re) + 1j * np.arcsin(im))
+    np.fill_diagonal(C, eta)
+    return C
+
+
+def _combiner_textbook(H, W, B, C_xq, rho):
+    C_y = cov_y_unconditional(H, C_xq, rho)
+    return np.sqrt(rho) * np.linalg.solve(C_y, H @ B @ W)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_blmmse_pieces_equal_their_textbook_forms(k, dtype):
+    from onebitlink.detect import blmmse_combiner
+
+    rng = substream(4, k)
+    n, m, eta = 24, 5, 1.0 / 24
+    W = _random_w(rng, n, k)
+    W = W.real.copy() if dtype is float else W
+    H = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
+    for sigma2 in (0.0, 1e-4, 0.3, 10.0):
+        C_xd = cov_xd(W, sigma2)
+        assert np.array_equal(C_xd, _cov_xd_textbook(W, sigma2))
+        assert C_xd.dtype == np.dtype(dtype)
+        # a transposed view, not C-contiguous, gives the transpose's bits
+        for C in (C_xd, C_xd.T):
+            assert np.array_equal(cov_xq_unconditional(C, eta), _cov_xq_textbook(C, eta))
+        B, C_xq = bussgang_gain(C_xd, eta), cov_xq_unconditional(C_xd, eta)
+        for rho in (0.0, 3.0, 1e4):
+            assert np.array_equal(blmmse_combiner(H, W, B, C_xq, rho),
+                                  _combiner_textbook(H, W, B, C_xq, rho))
+    # the 1 x 1 case
+    one = cov_xd(np.array([[0.6 + 0.8j]]), 0.5)
+    assert np.array_equal(one, _cov_xd_textbook(np.array([[0.6 + 0.8j]]), 0.5))
+    assert np.array_equal(cov_xq_unconditional(one, eta), _cov_xq_textbook(one, eta))
+
+
+def _traced_peak(fn, *args):
+    """Bytes fn allocates above its entry at its peak, and its result."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, out
+
+
+# N = 128; tracemalloc counts numpy's allocations exactly
+def test_cov_xd_allocates_little_beyond_its_output():
+    # the textbook sum takes 2.0x its output, for the identity
+    W = _random_w(substream(5, 0), 128, 2)
+    peak, C_xd = _traced_peak(cov_xd, W, 0.01)
+    assert peak <= 1.25 * C_xd.nbytes
+
+
+def test_cov_xq_unconditional_allocates_little_beyond_its_output():
+    # the textbook expression takes 4.5x its output, in real and complex
+    # temporaries
+    C_xd = cov_xd(_random_w(substream(5, 0), 128, 2), 0.01)
+    peak, C_xq = _traced_peak(cov_xq_unconditional, C_xd, 1.0 / 128)
+    assert peak <= 3.0 * C_xq.nbytes
