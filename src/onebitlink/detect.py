@@ -22,7 +22,7 @@ flip. An alphabet that is not closed gets orbits of one candidate each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -71,8 +71,8 @@ class CandidateTable:
     per-orbit fields mu, inv_chol, logdet and weight; the per-position
     fields and the eigenbasis are shared by every point. `ml_detect_batch`
     detects P n received rows on it, rows p n ... (p + 1) n - 1 against
-    point p, and `points` takes a range of the points as a table of its own.
-    An unstacked table is the one-point case.
+    point p; `points_per_group` says how many points one table holds. An
+    unstacked table is the one-point case.
     """
 
     indices: np.ndarray   # (L^K, K) per-stream constellation indices
@@ -92,12 +92,6 @@ class CandidateTable:
     def n_points(self) -> int:
         """Dither points held: the leading axis of a stacked table, else 1."""
         return self.mu.shape[0] if self.mu.ndim == 3 else 1
-
-    def points(self, lo: int, hi: int) -> CandidateTable:
-        """Points lo ... hi - 1 of a stacked table, as a stacked table whose
-        per-orbit fields are views."""
-        return replace(self, mu=self.mu[lo:hi], inv_chol=self.inv_chol[lo:hi],
-                       logdet=self.logdet[lo:hi], weight=self.weight[lo:hi])
 
 
 def enumerate_candidates(constellation: Constellation,
@@ -201,24 +195,16 @@ def _candidate_orbits(points: bytes, n_streams: int):
     return out
 
 
-def points_per_table(constellation: Constellation, n_streams: int, n_rx: int) -> int:
-    """Dither points whose candidate tables one stacked table holds.
+def points_per_group(constellation: Constellation, n_streams: int, n_rx: int,
+                     n_vectors: int) -> int:
+    """Dither points that share one stacked table and one `ml_detect_batch` call.
 
-    As many as keep its covariance stack, orbits x (2 n_rx)^2 entries per
-    point, within one factorization block of BLOCK_ENTRIES entries, and at
-    least one.
+    As many as keep both the table's covariance stack, orbits x (2 n_rx)^2
+    entries per point, and the call's turned rows, 4 x n_vectors x 2 n_rx
+    entries per point, within BLOCK_ENTRIES, and at least one.
     """
     n_rep = _candidate_orbits(constellation.points.tobytes(), n_streams)[3].shape[0]
-    return max(1, BLOCK_ENTRIES // (n_rep * (2 * n_rx) ** 2))
-
-
-def points_per_call(n_vectors: int, n_rx: int) -> int:
-    """Dither points, of n_vectors received rows each, that one `ml_detect_batch` call takes.
-
-    As many as keep the call's turned rows, 4 x points x n_vectors x 2 n_rx
-    entries, within BLOCK_ENTRIES, and at least one.
-    """
-    return max(1, BLOCK_ENTRIES // (8 * n_vectors * n_rx))
+    return max(1, BLOCK_ENTRIES // max(n_rep * (2 * n_rx) ** 2, 8 * n_vectors * n_rx))
 
 
 def build_candidate_table(kernels: CandidateKernels, rho: float) -> CandidateTable:

@@ -7,14 +7,13 @@ numbers), so curves differ only through the operating point and not through
 sampling noise. Work is parallelized across channels; error counts are exactly
 reproducible for any worker count.
 
-The ML candidate tables of a dither grid are built in groups: consecutive
-dither powers, as many as `detect.points_per_table` fits in one factorization
-block, share one stacked kernel build and one stacked table per channel. The
-group's points are detected in stacked `ml_detect_batch` calls, each holding
-the received rows of as many consecutive points as `detect.points_per_call`
-keeps within one block, in grid order. A row's `seconds` is the wall time its
-detector spent on the row's grid point, summed over channels; an ML call's
-seconds, with the builds it makes, are charged to the call's first point, so
+The grid points go in groups of consecutive points that share one ML kernel
+build, one candidate table and one `ml_detect_batch` call per channel. In a
+dither grid a group holds as many points as `detect.points_per_group` keeps
+within one block of work; in an SNR grid a group is one point, and every group
+reuses the first group's kernels. A row's `seconds` is the wall time its
+detector spent on the row's grid point, summed over channels; a group's ML
+seconds, with the builds it makes, are charged to the group's first point, so
 its other points carry none.
 """
 
@@ -35,8 +34,8 @@ from .channel import ChannelParams, draw_channel, make_precoder
 from .core import (FactorizationError, ParameterError, complex_normal, make_constellation,
                    quantize_1bit, substream)
 from .detect import (MAX_TABLE, build_candidate_kernels, build_candidate_table,
-                     ml_detect_batch, points_per_call, points_per_table,
-                     slice_min_distance_batch, blmmse_combiner)
+                     ml_detect_batch, points_per_group, slice_min_distance_batch,
+                     blmmse_combiner)
 from .stats import receive_basis
 from .txchain import bussgang_gain, cov_xd, cov_xq_unconditional
 
@@ -186,95 +185,64 @@ def _run_channel(cfg: ExperimentConfig, channel_index: int):
     if "guess" in cfg.detectors:
         guess_digits = substream(cfg.seed, channel_index, GUESS).integers(0, const.size, size=(nv, k))
 
-    # Detection goes in ML calls. In a dither grid (one rho) a run of equal
-    # sigma2 has one set of received rows, and the ML kernels of consecutive
-    # runs are built as one stack with one table, a group of as many runs as
-    # `points_per_table` fits in one factorization block. The group's runs go
-    # to `ml_detect_batch` in calls of as many as `points_per_call` keeps
-    # within one block: a call holds each run's rows, in grid order, and
-    # detects them against the run's point of the table. An SNR grid is one
-    # run, whose kernels are built once, with a call and a table per point.
-    # A call's ML seconds, its detection and the builds it makes (the
-    # group's kernels and table, and the channel's receive basis, at the
-    # group's first call) are charged to its first point; its other points
-    # carry none. Each run's rows are quantized at its first point; in a
-    # dither grid its Y is formed at once and Xq dropped, and X and U go once
-    # the last run is quantized (an SNR grid: at its first point). The
-    # BLMMSE pieces are built at a run's first blmmse point and live while
-    # the run is in use. The previous table is released before the next
-    # build starts, so a channel holds one table at a time.
+    # Rows are quantized where the dither power changes, so a repeated power
+    # reuses its Xq and BLMMSE pieces; Xq goes once its power's last point
+    # has its rows, and X and U go after the last quantization. The previous
+    # table is released before the next build starts, so a channel holds one
+    # table at a time.
     axis, points = cfg.sweep_points()
-    starts = [i for i, (_, s2, _) in enumerate(points) if i == 0 or s2 != points[i - 1][1]]
     ml = "ml" in cfg.detectors
-    per_table = points_per_table(const, k, cfg.n_rx) if ml else 1
-    # (group's first run, call's first point in the group's table, its runs)
-    if axis == "dither_dbm":
-        runs = [range(a, b) for a, b in zip(starts, starts[1:] + [len(points)])]
-        per_call = min(per_table, points_per_call(nv, cfg.n_rx))
-        calls = [(g, c - g, runs[c:min(c + per_call, g + per_table)])
-                 for g in range(0, len(runs), per_table)
-                 for c in range(g, min(g + per_table, len(runs)), per_call)]
-    else:
-        calls = [(0, 0, [range(idx, idx + 1)]) for idx in range(len(points))]
+    size = points_per_group(const, k, cfg.n_rx, nv) if ml and axis == "dither_dbm" else 1
+    changes = {i for i in range(len(points)) if i == 0 or points[i][1] != points[i - 1][1]}
+    last = max(changes)
     out = {}
-    run = -1
     basis = kernels = table = None
-    for lo, at, call in calls:
+    for lo in range(0, len(points), size):
+        group = points[lo:lo + size]
         Ys = []
-        for points_of_y in call:
-            _, sigma2, rho = points[points_of_y[0]]
-            if run + 1 < len(starts) and starts[run + 1] == points_of_y[0]:
-                run += 1
+        for idx, (_, sigma2, rho) in enumerate(group, lo):
+            if idx in changes:
                 Xq = quantize_1bit(X + np.sqrt(sigma2) * U, eta)
-                if run == len(starts) - 1:
-                    X = U = None
                 combiner = None
-                if run % per_table == 0:
-                    kernels = None
-            Y = np.sqrt(rho) * Xq @ H.T + Z
-            if axis == "dither_dbm":
+                if idx == last:
+                    X = U = None
+            Ys.append(np.sqrt(rho) * Xq @ H.T + Z)
+            if idx + 1 in changes or idx + 1 == len(points):
                 Xq = None
-            Ys.append(Y)
-            for idx in points_of_y:
-                for det in cfg.detectors:
-                    t0 = time.perf_counter()
-                    if det == "blmmse":
-                        if combiner is None:
-                            C_xd = cov_xd(W, sigma2)
-                            combiner = bussgang_gain(C_xd, eta), cov_xq_unconditional(C_xd, eta)
-                        V = blmmse_combiner(H, W, *combiner, rho)
-                        decided = slice_min_distance_batch(Y @ V.conj(), const)[0]
-                    elif det == "guess":
-                        decided = guess_digits
-                    else:
-                        continue
-                    errors = int(np.sum(decided != true_digits))
-                    out[(idx, det)] = (errors, time.perf_counter() - t0)
+            for det in cfg.detectors:
+                t0 = time.perf_counter()
+                if det == "blmmse":
+                    if combiner is None:
+                        C_xd = cov_xd(W, sigma2)
+                        combiner = bussgang_gain(C_xd, eta), cov_xq_unconditional(C_xd, eta)
+                    V = blmmse_combiner(H, W, *combiner, rho)
+                    decided = slice_min_distance_batch(Ys[-1] @ V.conj(), const)[0]
+                elif det == "guess":
+                    decided = guess_digits
+                else:
+                    continue
+                out[(idx, det)] = (int(np.sum(decided != true_digits)), time.perf_counter() - t0)
         if not ml:
             continue
         t0 = time.perf_counter()
-        if kernels is None or axis == "rho_db":
-            table = None
-            try:
-                if kernels is None:
-                    if basis is None:
-                        basis = receive_basis(H)
-                    group = np.array([points[i][1] for i in starts[lo:lo + per_table]])
-                    kernels = build_candidate_kernels(basis, W, const, group, eta)
-                table = build_candidate_table(kernels, rho)
-            except FactorizationError as exc:
-                failed = starts[lo + exc.index[0]] if axis == "dither_dbm" else call[0][0]
-                raise FactorizationError(
-                    f"channel {channel_index}, {_grid_point(cfg, failed)}: {exc}",
-                    pivot=exc.pivot, index=exc.index) from None
-        Y = Ys[0] if len(Ys) == 1 else np.concatenate(Ys)
-        Ys = None
-        decided = ml_detect_batch(Y, table.points(at, at + len(call)))[0]
-        errors = [int(np.sum(d != true_digits)) for d in np.split(decided, len(call))]
+        table = None
+        try:
+            if kernels is None or axis == "dither_dbm":
+                kernels = None
+                if basis is None:
+                    basis = receive_basis(H)
+                kernels = build_candidate_kernels(basis, W, const,
+                                                  np.array([s2 for _, s2, _ in group]), eta)
+            table = build_candidate_table(kernels, group[0][2])
+        except FactorizationError as exc:
+            raise FactorizationError(
+                f"channel {channel_index}, {_grid_point(cfg, lo + exc.index[0])}: {exc}",
+                pivot=exc.pivot, index=exc.index) from None
+        Y, Ys = np.concatenate(Ys), None
+        decided = ml_detect_batch(Y, table)[0]
         seconds = time.perf_counter() - t0
-        for points_of_y, e in zip(call, errors):
-            for idx in points_of_y:
-                out[(idx, "ml")] = (e, seconds if idx == call[0][0] else 0.0)
+        for idx, d in enumerate(np.split(decided, len(group)), lo):
+            out[(idx, "ml")] = (int(np.sum(d != true_digits)), seconds if idx == lo else 0.0)
     return out
 
 

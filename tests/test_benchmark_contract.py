@@ -96,3 +96,35 @@ def test_oracle_draws_count_each_pass_once(monkeypatch):
     assert one_pass == [4096] * 6 + [424]
     assert rows == 2 * one_pass
     assert sum(rows) == 2 * 25_000
+
+
+def test_sweep_workloads_keep_their_schedule(monkeypatch):
+    # per channel of each sweep workload's seed-0 inputs: the points of each
+    # kernel build, the tables, and the received rows of each ML call
+    workloads = _load("workloads", monkeypatch)
+    builds, tables, calls = [], [], []
+
+    def recording(log, fn, record):
+        def wrapped(*args):
+            log.append(record(*args))
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(harness, "build_candidate_kernels", recording(
+        builds, harness.build_candidate_kernels, lambda basis, W, const, sigma2, eta:
+        np.size(sigma2)))
+    monkeypatch.setattr(harness, "build_candidate_table", recording(
+        tables, harness.build_candidate_table, lambda kernels, rho: rho))
+    monkeypatch.setattr(harness, "ml_detect_batch", recording(
+        calls, harness.ml_detect_batch, lambda Y, table: Y.shape[0]))
+    want = {"dither_k1": ([8], 1, [800]), "snr_k3": ([1], 2, [3000, 3000]),
+            "m64_k2": ([1] * 4, 4, [300] * 4)}
+    for name, (points, n_tables, rows) in want.items():
+        workload = workloads.WORKLOADS[name]
+        cfg = workload.inputs(0)
+        for log in (builds, tables, calls):
+            log.clear()
+        workload.run(cfg)
+        assert builds == points * cfg.n_channels, name
+        assert len(tables) == n_tables * cfg.n_channels, name
+        assert calls == rows * cfg.n_channels, name

@@ -313,15 +313,14 @@ def test_stacked_points_equal_the_per_point_builds(monkeypatch, const, k, n, m, 
     assert stacked.inv_chol.shape == (GRID.size, orbits, dim, dim)
     assert stacked.n_candidates == constellation.size ** k
     Y = rng.standard_normal((50, m)) + 1j * rng.standard_normal((50, m))
+    per_orbit = ("mu", "inv_chol", "logdet", "weight")
     for p, want in enumerate(per_point):
-        got = stacked.points(p, p + 1)
-        assert got.n_points == 1
-        for name in ("mu", "inv_chol", "logdet", "weight"):
-            field = getattr(got, name)
-            assert np.array_equal(field[0], getattr(want, name)), name
-            assert field.base is not None and np.shares_memory(field, getattr(stacked, name))
+        got = dataclasses.replace(stacked, **{name: getattr(stacked, name)[p]
+                                              for name in per_orbit})
+        for name in per_orbit:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
         for name in ("indices", "orbit", "turns", "eigvecs"):
-            assert getattr(got, name) is getattr(stacked, name)
+            assert np.array_equal(getattr(stacked, name), getattr(want, name)), name
         got_idx, got_score = ml_detect_batch(Y, got)
         want_idx, want_score = ml_detect_batch(Y, want)
         assert np.array_equal(got_idx, want_idx)
@@ -341,12 +340,22 @@ def test_scalar_variance_keeps_the_unstacked_shapes():
         build_candidate_kernels(receive_basis(H), W, qpsk(), GRID[None], 1.0 / 12)
 
 
-def test_points_per_table_fills_one_factorization_block():
-    # orbits x (2M)^2 covariance entries per point against BLOCK_ENTRIES = 2^19
-    assert detect.points_per_table(qam16(), 1, 16) == 2 ** 19 // (4 * 32 ** 2)
-    assert detect.points_per_table(qam16(), 2, 64) == 1   # 64 x 128^2 = 2^20
-    assert detect.points_per_table(qam16(), 3, 16) == 1   # 1024 x 32^2 = 2^20
-    assert detect.points_per_table(make_constellation("single"), 1, 1) == 2 ** 17
+def test_points_per_group_keeps_the_table_and_the_call_within_one_block():
+    # per point, the table's orbits x (2M)^2 covariance entries and the
+    # call's 4 turns x vectors x 2M turned-row entries, whichever is larger,
+    # against BLOCK_ENTRIES = 2^19. The table binds: 4 x 32^2 = 4,096 entries
+    # against 4 x 16 x 32 = 2,048 at M = 16
+    assert detect.points_per_group(qam16(), 1, 16, 16) == 2 ** 19 // (4 * 32 ** 2)
+    assert detect.points_per_group(qam16(), 2, 64, 1) == 1   # 64 x 128^2 = 2^20
+    assert detect.points_per_group(qam16(), 3, 16, 1) == 1   # 1024 x 32^2 = 2^20
+    # one candidate: 8^2 = 64 entries against 4 x 1 x 8 = 32
+    assert detect.points_per_group(make_constellation("single"), 1, 4, 1) == 2 ** 13
+    # the call binds: 4,096 rows at M = 16
+    assert detect.points_per_group(qam16(), 1, 16, 100) == 40
+    assert detect.points_per_group(qam16(), 1, 16, 2000) == 2
+    assert detect.points_per_group(qam16(), 1, 16, 2048) == 2
+    assert detect.points_per_group(qam16(), 1, 16, 2049) == 1
+    assert detect.points_per_group(qam16(), 1, 64, 10 ** 6) == 1
 
 
 def test_table_build_factors_its_stack_in_place():
@@ -582,18 +591,12 @@ def test_stacked_detection_needs_whole_points():
         ml_detect_batch(Y, table)
     idx, score = ml_detect_batch(Y[:0], table)
     assert idx.shape == (0, 1) and score.shape == (0,)
-    assert table.points(1, 3).n_points == 2
-    assert np.array_equal(ml_detect_batch(Y[:20], table.points(1, 3))[0],
-                          ml_detect_exhaustive(Y[:20], table.points(1, 3))[0])
-
-
-def test_points_per_call_keeps_the_turned_rows_within_one_block():
-    # 4 turns x rows x 2M entries against BLOCK_ENTRIES = 2^19: 4,096 rows at M = 16
-    assert detect.points_per_call(100, 16) == 40
-    assert detect.points_per_call(2000, 16) == 2
-    assert detect.points_per_call(2048, 16) == 2
-    assert detect.points_per_call(2049, 16) == 1
-    assert detect.points_per_call(10 ** 6, 64) == 1
+    # a table of two points detects two points' rows
+    pair = build_candidate_table(
+        build_candidate_kernels(receive_basis(H), W, qam16(), GRID[1:3], 1.0 / 6), 3.0)
+    assert pair.n_points == 2
+    assert np.array_equal(ml_detect_batch(Y[:20], pair)[0],
+                          ml_detect_exhaustive(Y[:20], pair)[0])
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)

@@ -245,7 +245,7 @@ def test_seconds_include_the_per_dither_builds(monkeypatch):
     monkeypatch.setattr(harness, "cov_xd", slow(harness.cov_xd))
 
     def points(**grid):
-        rows = run_sweep(ExperimentConfig(n_tx=8, n_rx=2, n_channels=2, n_symbol_vectors=10,
+        rows = run_sweep(ExperimentConfig(n_tx=8, n_rx=2, n_channels=2, n_symbol_vectors=4,
                                           detectors=("ml", "blmmse"), **grid)).rows
         return [rows[i:i + 2] for i in range(0, len(rows), 2)]
 
@@ -255,8 +255,9 @@ def test_seconds_include_the_per_dither_builds(monkeypatch):
     assert all(r.seconds == 0.0 for r in second)
     # a dither grid: a combiner build per channel at every point, also at a
     # dither power the list revisits, which repeats the first point's errors;
-    # the three points share one kernel stack per channel (a table of 4 orbits
-    # of 4 x 4 covariances holds 64 entries per point), built at the first
+    # the three points form one group per channel (a table of 4 orbits of
+    # 4 x 4 covariances holds 64 entries per point, as do the call's turned
+    # rows, 4 turns x 4 rows x 4), whose kernel stack is built at the first
     grid = points(rho_db=(5.0,), dither_dbm=(0.0, 10.0, 0.0))
     assert [r.seconds for pt in grid for r in pt] == pytest.approx(
         [2 * delay, 2 * delay, 0.0, 2 * delay, 0.0, 2 * delay], abs=1e-12)
@@ -267,13 +268,12 @@ def test_seconds_include_the_per_dither_builds(monkeypatch):
     assert [r.seconds for pt in split for r in pt] == pytest.approx(
         [2 * delay, 2 * delay, 0.0, 2 * delay, 2 * delay, 2 * delay], abs=1e-12)
     assert [[r.errors for r in pt] for pt in split] == [[r.errors for r in pt] for pt in grid]
-    # a delayed ml_detect_batch: each call's detection is charged to the
-    # call's first point. At this block size no two points' rows fit one
-    # call (4 turns x 10 rows x 4 entries each), so each point makes its own.
+    # a delayed ml_detect_batch: each group's one call is charged to the
+    # group's first point
     monkeypatch.setattr(harness, "ml_detect_batch", slow(harness.ml_detect_batch))
     split = points(rho_db=(5.0,), dither_dbm=(0.0, 10.0, 0.0))
     assert [r.seconds for pt in split for r in pt] == pytest.approx(
-        [4 * delay, 2 * delay, 2 * delay, 2 * delay, 4 * delay, 2 * delay], abs=1e-12)
+        [4 * delay, 2 * delay, 0.0, 2 * delay, 4 * delay, 2 * delay], abs=1e-12)
     # at the full block size the three points make one call per channel
     monkeypatch.setattr(detect, "BLOCK_ENTRIES", 2 ** 19)
     grid = points(rho_db=(5.0,), dither_dbm=(0.0, 10.0, 0.0))
@@ -286,11 +286,12 @@ def test_seconds_include_the_per_dither_builds(monkeypatch):
 
 
 def test_a_dither_group_is_detected_in_calls_of_at_most_a_block(monkeypatch):
-    # M = 16, K = 1: one table holds all 8 points of the dither_k1 shape, and
-    # one ml_detect_batch call takes their rows while its turned rows, 4 x
-    # rows x 32 entries, fit the 2^19-entry block (4,096 rows): 8 points of
-    # 100 vectors make one call, of 2,000 vectors calls of two points, and of
-    # 2,049 one call per point. The errors equal those of one call per point.
+    # M = 16, K = 1: a table of all 8 points of the dither_k1 shape fits the
+    # 2^19-entry block, so a group is as large as one ml_detect_batch call's
+    # turned rows, 4 x rows x 32 entries, fit the block (4,096 rows): 8 points
+    # of 100 vectors make one group, of 2,000 vectors groups of two points,
+    # and of 2,049 one group per point. The errors equal those of one group
+    # per point.
     from onebitlink import harness
 
     calls = []
@@ -309,7 +310,7 @@ def test_a_dither_group_is_detected_in_calls_of_at_most_a_block(monkeypatch):
         stacked = [r.errors for r in run_sweep(cfg).rows]
         assert calls == want
         with monkeypatch.context() as m:
-            m.setattr(harness, "points_per_call", lambda n_vectors, n_rx: 1)
+            m.setattr(harness, "points_per_group", lambda *args: 1)
             calls.clear()
             assert [r.errors for r in run_sweep(cfg).rows] == stacked
             assert calls == [(nv, 1)] * 8
@@ -347,8 +348,9 @@ def test_receive_basis_built_once_per_channel(monkeypatch):
 def test_kernel_stacks_follow_the_factorization_block(monkeypatch):
     # consecutive dither points share one kernel build per channel while
     # their covariances fit one factorization block (16-QAM, K = 1, M = 2:
-    # 4 orbits of 4 x 4 covariances, 64 entries per point), with the same
-    # errors however they are grouped; an SNR grid builds once per channel
+    # 4 orbits of 4 x 4 covariances, 64 entries per point, as many as the
+    # call's turned rows at 4 vectors), with the same errors however they
+    # are grouped; an SNR grid builds once per channel
     from onebitlink import detect, harness
 
     sizes = []
@@ -359,7 +361,7 @@ def test_kernel_stacks_follow_the_factorization_block(monkeypatch):
         return build(basis, W, const, sigma2, eta)
 
     monkeypatch.setattr(harness, "build_candidate_kernels", recording)
-    base = dict(n_tx=8, n_rx=2, n_channels=2, n_symbol_vectors=10, detectors=("ml",))
+    base = dict(n_tx=8, n_rx=2, n_channels=2, n_symbol_vectors=4, detectors=("ml",))
     dither = dict(rho_db=(5.0,), dither_dbm=(-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0))
 
     def errors(block):
@@ -405,6 +407,79 @@ def test_a_channel_holds_one_table_at_a_time(monkeypatch):
         assert live == [0] * 6
 
 
+def test_a_repeated_dither_power_is_quantized_once(monkeypatch):
+    # consecutive equal powers share one quantization per channel, in one
+    # group or across groups, and the repeated point's errors equal the first
+    # point's and those of the grid without the repeat
+    from onebitlink import harness
+
+    quantized = []
+    quantize = harness.quantize_1bit
+
+    def counting(x, eta):
+        quantized.append(x.shape)
+        return quantize(x, eta)
+
+    monkeypatch.setattr(harness, "quantize_1bit", counting)
+    base = dict(n_tx=8, n_rx=2, n_channels=2, n_symbol_vectors=40, rho_db=(5.0,),
+                detectors=("ml", "blmmse"))
+
+    def errors(dither):
+        quantized.clear()
+        rows = run_sweep(ExperimentConfig(**base, dither_dbm=dither)).rows
+        return [[r.errors for r in rows[i:i + 2]] for i in range(0, len(rows), 2)]
+
+    once = errors((0.0, 10.0))
+    for per_group in (None, 1):
+        if per_group is not None:
+            monkeypatch.setattr(harness, "points_per_group", lambda *args: per_group)
+        repeated = errors((0.0, 0.0, 10.0))
+        assert len(quantized) == 2 * base["n_channels"]
+        assert repeated == [once[0], once[0], once[1]]
+    assert sum(map(sum, once)) > 0
+
+
+def test_transmit_draws_are_released_before_detection(monkeypatch):
+    # the dither draw U goes after the last quantization: in an SNR grid
+    # before the first ML call, and in a dither grid of one point per group
+    # before the last group's call. The quantized rows Xq go once their
+    # power's last point has its received rows.
+    from onebitlink import harness
+
+    draws, quantized, freed = [], [], []
+    draw, quantize = harness.complex_normal, harness.quantize_1bit
+    detect_batch = harness.ml_detect_batch
+
+    def keeping(rng, shape):
+        out = draw(rng, shape)
+        if shape[1] == 8:   # (vectors, n_tx): the dither draw U
+            draws.append(weakref.ref(out))
+        return out
+
+    def quantizing(x, eta):
+        out = quantize(x, eta)
+        quantized.append(weakref.ref(out))
+        return out
+
+    def recording(Y, table):
+        freed.append((draws[-1]() is None, quantized[-1]() is None))
+        return detect_batch(Y, table)
+
+    monkeypatch.setattr(harness, "complex_normal", keeping)
+    monkeypatch.setattr(harness, "quantize_1bit", quantizing)
+    monkeypatch.setattr(harness, "ml_detect_batch", recording)
+    base = dict(n_tx=8, n_rx=2, n_channels=2, n_symbol_vectors=10, detectors=("ml",))
+    run_sweep(ExperimentConfig(**base, rho_db=(0.0, 10.0, 20.0), dither_dbm=(2.0,)))
+    assert len(draws) == 2
+    assert freed == [(True, False), (True, False), (True, True)] * 2
+    draws.clear()
+    freed.clear()
+    monkeypatch.setattr(harness, "points_per_group", lambda *args: 1)
+    run_sweep(ExperimentConfig(**base, rho_db=(5.0,), dither_dbm=(-10.0, 0.0, 10.0)))
+    assert len(draws) == 2
+    assert freed == [(False, True), (False, True), (True, True)] * 2
+
+
 def test_factorization_error_names_the_channel_and_grid_point(monkeypatch):
     from onebitlink import detect, harness
 
@@ -429,7 +504,7 @@ def test_factorization_error_names_the_channel_and_grid_point(monkeypatch):
             return kernels
         return broken
 
-    base = dict(n_tx=8, n_rx=2, n_channels=2, n_symbol_vectors=10, detectors=("ml",))
+    base = dict(n_tx=8, n_rx=2, n_channels=2, n_symbol_vectors=4, detectors=("ml",))
     # a dither grid in groups of 3 points: the fifth build is channel 1's
     # second group, whose point 1 is the grid's 10 dBm
     monkeypatch.setattr(detect, "BLOCK_ENTRIES", 3 * 64)
