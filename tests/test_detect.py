@@ -340,17 +340,20 @@ def test_scalar_variance_keeps_the_unstacked_shapes():
         build_candidate_kernels(receive_basis(H), W, qpsk(), GRID[None], 1.0 / 12)
 
 
-def test_points_per_group_keeps_the_table_and_the_call_within_one_block():
-    # per point, the table's orbits x (2M)^2 covariance entries and the
-    # call's 4 turns x vectors x 2M turned-row entries, whichever is larger,
-    # against BLOCK_ENTRIES = 2^19. The table binds: 4 x 32^2 = 4,096 entries
-    # against 4 x 16 x 32 = 2,048 at M = 16
+def test_points_per_table_fills_one_factorization_block():
+    # orbits x (2M)^2 covariance entries per point against BLOCK_ENTRIES = 2^19,
+    # at vector counts where the table's bound is larger than the call's
+    # 4 turns x vectors x 2M: 4 x 32^2 = 4,096 against 4 x 16 x 32 = 2,048 at M = 16
     assert detect.points_per_group(qam16(), 1, 16, 16) == 2 ** 19 // (4 * 32 ** 2)
     assert detect.points_per_group(qam16(), 2, 64, 1) == 1   # 64 x 128^2 = 2^20
     assert detect.points_per_group(qam16(), 3, 16, 1) == 1   # 1024 x 32^2 = 2^20
     # one candidate: 8^2 = 64 entries against 4 x 1 x 8 = 32
     assert detect.points_per_group(make_constellation("single"), 1, 4, 1) == 2 ** 13
-    # the call binds: 4,096 rows at M = 16
+
+
+def test_points_per_call_keeps_the_turned_rows_within_one_block():
+    # 4 turns x vectors x 2M entries against BLOCK_ENTRIES = 2^19, where the
+    # call's bound is larger than the table's: 4,096 rows at M = 16
     assert detect.points_per_group(qam16(), 1, 16, 100) == 40
     assert detect.points_per_group(qam16(), 1, 16, 2000) == 2
     assert detect.points_per_group(qam16(), 1, 16, 2048) == 2
